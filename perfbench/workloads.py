@@ -210,39 +210,48 @@ def _batch_goal_sets(rng, mask) -> list:
     return sets
 
 
+#: each drawn set of maps serves this many cycles of the kinds per map
+#: (a few seconds of ops) before the stream draws the next set, so a run
+#: averages over many layouts
+_BATCH_REPEATS = 8
+
+
 def _batch(rng, scratch_dir: str) -> Iterator[Op]:
-    maps = _batch_maps(rng)
-    pools = [_batch_goal_sets(rng, m) for m in maps]
     cli_file = os.path.join(scratch_dir, "batch_query.txt")
-    k = 0
     while True:
-        m = int(rng.integers(len(maps)))
-        mask, goal_sets = maps[m], pools[m]
-        goals, weights, starts = goal_sets[int(rng.integers(len(goal_sets)))]
-        start = _pick(rng, starts)
-        kind = _BATCH_KINDS[k % len(_BATCH_KINDS)]
-        k += 1
-        header = {
-            "horizon": "auto",
-            "kappa": round(float(rng.uniform(0.6, 0.95)), 2),
-            "lambda": round(float(rng.uniform(0.0, 0.8)), 2),
-            "seed": int(rng.integers(1000)),
-        }
-        pinned = None
-        if kind in ("greedy", "sample"):
-            if rng.random() < 0.25:
-                pinned = int(rng.integers(len(fp.ACTIONS)))
-            elif rng.random() < 0.25:
-                slack = int(rng.integers(1, 5))
-                d = bfs_distance(fp.GridMap.from_mask(mask), start, goals)
-                header["horizon"] = d + 1 + slack
-        text = _goal_text(mask, start, goals, weights, header)
-        if kind.startswith("cli_"):
-            yield _cli_op(kind, text, cli_file)
-        elif kind == "flows":
-            yield _flows_render_op(text)
-        else:
-            yield _parsed_op(kind, text, pinned)
+        maps = _batch_maps(rng)
+        pools = [_batch_goal_sets(rng, m) for m in maps]
+        for k in range(len(maps) * len(_BATCH_KINDS) * _BATCH_REPEATS):
+            # every map meets every kind, so each run, whatever its seed,
+            # measures the same mix
+            kind = _BATCH_KINDS[k % len(_BATCH_KINDS)]
+            m = (k // len(_BATCH_KINDS)) % len(maps)
+            yield _batch_op(rng, kind, maps[m], pools[m], cli_file)
+
+
+def _batch_op(rng, kind: str, mask: np.ndarray, goal_sets: list, cli_file: str) -> Op:
+    goals, weights, starts = goal_sets[int(rng.integers(len(goal_sets)))]
+    start = _pick(rng, starts)
+    header = {
+        "horizon": "auto",
+        "kappa": round(float(rng.uniform(0.6, 0.95)), 2),
+        "lambda": round(float(rng.uniform(0.0, 0.8)), 2),
+        "seed": int(rng.integers(1000)),
+    }
+    pinned = None
+    if kind in ("greedy", "sample"):
+        if rng.random() < 0.25:
+            pinned = int(rng.integers(len(fp.ACTIONS)))
+        elif rng.random() < 0.25:
+            slack = int(rng.integers(1, 5))
+            d = bfs_distance(fp.GridMap.from_mask(mask), start, goals)
+            header["horizon"] = d + 1 + slack
+    text = _goal_text(mask, start, goals, weights, header)
+    if kind.startswith("cli_"):
+        return _cli_op(kind, text, cli_file)
+    if kind == "flows":
+        return _flows_render_op(text)
+    return _parsed_op(kind, text, pinned)
 
 
 def _parsed_op(kind: str, text: str, pinned) -> Op:
@@ -353,9 +362,9 @@ def _corridor(rng) -> Iterator[Op]:
 _CROWD_SIZE = 24
 _CROWD_T_MAX = 150
 _CROWD_WALL = 11
-# agent counts cycle over 8-12 centred on 10, so that the median episode of
-# every run has ten agents
-_CROWD_AGENTS = (10, 8, 10, 12, 10, 9, 10, 11)
+# agent counts cycle over 8-12 with two in three episodes at ten agents, so
+# that the median episode of every run has ten agents
+_CROWD_AGENTS = (10, 10, 8, 10, 10, 12, 10, 10, 9, 10, 10, 11)
 # left-starting agents go from column 1 to 20, right-starting ones from 22
 # to 3: every agent crosses the wall and no goal sits on a start cell
 _CROWD_LANES = ((1, 20), (22, 3))
