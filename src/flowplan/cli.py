@@ -19,7 +19,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path as FsPath
 
-from . import engine, multiagent, planner, render, scenario_io
+from . import multiagent, planner, render, scenario_io
 from .errors import (
     InvalidGoalError,
     NoFeasiblePathError,
@@ -112,15 +112,8 @@ def _cmd_plan(args) -> int:
 
 def _cmd_mintime(args) -> int:
     scenario = _require_single(_load(args))
-    setup = planner.build_setup(scenario)
-    t_min = engine.min_time(
-        setup.kernel,
-        setup.p_action,
-        scenario.start_cell,
-        setup.goal,
-        scenario.search_cap,
-    )
-    print(t_min)
+    # the minimum, even when the header or --horizon fixes a horizon
+    print(planner.resolve_horizon(replace(scenario, horizon=None)))
     return EXIT_OK
 
 

@@ -67,15 +67,6 @@ class FlowSet:
     posterior: tuple[MessageTensor, ...]
     posterior_final: np.ndarray
 
-    def forward_at(self, t: int) -> MessageTensor:
-        return self.forward[t - 1]
-
-    def backward_at(self, t: int) -> MessageTensor:
-        return self.backward[t - 1]
-
-    def posterior_at(self, t: int) -> MessageTensor:
-        return self.posterior[t - 1]
-
 
 def _axis_slices(n: int, d: int) -> tuple[slice, slice]:
     # source range and the same range shifted by d, both clipped to [0, n)
@@ -84,51 +75,33 @@ def _axis_slices(n: int, d: int) -> tuple[slice, slice]:
     return src, dst
 
 
-def _push(values: np.ndarray, stencils: np.ndarray) -> np.ndarray:
-    """Scatter cell mass one step along every stencil entry.
+def _shift(values: np.ndarray, stencils: np.ndarray, gather: bool) -> np.ndarray:
+    """Move mass one step along every stencil entry.
 
-    Input and output are (rows, cols, A) arrays indexed by the action that
-    drives the move.  Out-of-bounds targets carry zero stencil weight, so
+    ``values`` is indexed (row, col, action) by the action that drives the
+    move.  The scatter (``gather=False``) pushes each cell's mass onto its
+    successors; the gather pulls successor mass back onto each (cell,
+    action) pair, and a length-1 action axis gathers a cells-only marginal
+    onto every action.  Out-of-bounds targets carry zero stencil weight, so
     clipped slices are exact.
     """
-    n, m = values.shape[:2]
-    out = np.zeros_like(values)
-    for u, di in enumerate(_OFFSETS):
-        rs, rd = _axis_slices(n, di)
-        for v, dj in enumerate(_OFFSETS):
-            cs, cd = _axis_slices(m, dj)
-            out[rd, cd, :] += stencils[rs, cs, :, u, v] * values[rs, cs, :]
-    return out
-
-
-def _pull(values: np.ndarray, stencils: np.ndarray) -> np.ndarray:
-    """Gather successor mass back onto each (cell, action) pair."""
-    n, m = values.shape[:2]
-    out = np.zeros_like(values)
-    for u, di in enumerate(_OFFSETS):
-        rs, rd = _axis_slices(n, di)
-        for v, dj in enumerate(_OFFSETS):
-            cs, cd = _axis_slices(m, dj)
-            out[rs, cs, :] += stencils[rs, cs, :, u, v] * values[rd, cd, :]
-    return out
-
-
-def _pull_state(state: np.ndarray, stencils: np.ndarray) -> np.ndarray:
-    """Gather a cells-only marginal onto (cell, action) pairs."""
-    n, m = state.shape
+    n, m = stencils.shape[:2]
     out = np.zeros(stencils.shape[:3])
     for u, di in enumerate(_OFFSETS):
         rs, rd = _axis_slices(n, di)
         for v, dj in enumerate(_OFFSETS):
             cs, cd = _axis_slices(m, dj)
-            out[rs, cs, :] += stencils[rs, cs, :, u, v] * state[rd, cd, None]
+            if gather:
+                out[rs, cs, :] += stencils[rs, cs, :, u, v] * values[rd, cd, :]
+            else:
+                out[rd, cd, :] += stencils[rs, cs, :, u, v] * values[rs, cs, :]
     return out
 
 
 def _forward_raw(
     values: np.ndarray, kernel: TransitionKernel, p_action: np.ndarray
 ) -> np.ndarray:
-    moved = _push(values, kernel.stencils)
+    moved = _shift(values, kernel.stencils, gather=False)
     return moved @ p_action  # mix over the previous action axis
 
 
@@ -136,7 +109,7 @@ def _backward_raw(
     values: np.ndarray, kernel: TransitionKernel, p_action: np.ndarray
 ) -> np.ndarray:
     mixed = values @ p_action.T
-    return _pull(mixed, kernel.stencils)
+    return _shift(mixed, kernel.stencils, gather=True)
 
 
 def forward_step(
@@ -172,7 +145,7 @@ def backward_terminal(
 ) -> MessageTensor:
     """Backward message one step before the horizon, gathered from the goal."""
     goal = _checked_goal(goal, kernel)
-    out = _pull_state(goal, kernel.stencils)
+    out = _shift(goal[:, :, None], kernel.stencils, gather=True)
     total = out.sum()
     if total == 0.0:
         raise InvalidGoalError("goal mass sits entirely on obstacle cells")
@@ -185,7 +158,7 @@ def forward_final(
     """Final forward cell marginal: last transition summed over actions."""
     if f_prev.is_dead:
         raise DeadFlowError("forward message has no mass")
-    out = _push(f_prev.values, kernel.stencils).sum(axis=2)
+    out = _shift(f_prev.values, kernel.stencils, gather=False).sum(axis=2)
     total = out.sum()
     if total == 0.0:
         raise DeadFlowError("forward mass vanished (support on obstacles only)")
@@ -295,7 +268,8 @@ def run_flows(
             raise DeadFlowError("forward mass vanished")
         norms.append(total)
         forward.append(MessageTensor(raw / total, FORWARD))
-    final_raw = _push(forward[-1].values, kernel.stencils).sum(axis=2)
+    final_raw = _shift(forward[-1].values, kernel.stencils, gather=False)
+    final_raw = final_raw.sum(axis=2)
     final_total = final_raw.sum()
     if final_total == 0.0:
         raise DeadFlowError("forward mass vanished at the final slice")
@@ -347,15 +321,15 @@ def min_time(
     if goal[start_cell] > 0.0:
         return 1
 
-    kernel_sup = kernel.support.astype(float)
-    action_sup = (p_action > 0.0).astype(float)
     grid = kernel.grid
 
     def at_start(sup: np.ndarray) -> bool:
         row = sup[start_cell[0], start_cell[1], :]
         return bool(row.any()) if start_action is None else bool(row[start_action])
 
-    sup = _pull_state((goal > 0.0).astype(float), kernel_sup) > 0.0
+    # 0/1 inputs keep every product of positive weights far above the
+    # underflow range, so "> 0" after each step is exactly the support
+    sup = _shift((goal > 0.0)[:, :, None], kernel.stencils, gather=True) > 0.0
     gathers = 1
     # any backward support needs at most one sweep of the joint space
     hard_cap = grid.rows * grid.cols * N_ACTIONS + 1
@@ -366,8 +340,7 @@ def min_time(
             raise UnreachableError(
                 f"no backward mass at {start_cell} within horizon {t_max}"
             )
-        mixed = (sup.astype(float) @ action_sup.T) > 0.0
-        nxt = _pull(mixed.astype(float), kernel_sup) > 0.0
+        nxt = _backward_raw(sup, kernel, p_action) > 0.0
         gathers += 1
         if np.array_equal(nxt, sup):
             raise UnreachableError(

@@ -55,10 +55,6 @@ N_ACTIONS = len(ACTIONS)
 
 ACTION_BY_NAME = {a.name: a for a in ACTIONS}
 
-# displacement lookup tables indexed by action
-ACTION_DY = np.array([a.dy for a in ACTIONS])
-ACTION_DX = np.array([a.dx for a in ACTIONS])
-
 
 @dataclass(frozen=True, eq=False)
 class GridMap:

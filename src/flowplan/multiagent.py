@@ -20,7 +20,6 @@ from .errors import InvalidGoalError, NoFeasiblePathError, UnreachableError
 from .grid import (
     Cell,
     GridMap,
-    N_ACTIONS,
     STILL,
     action_matrix,
     build_kernel,
@@ -28,16 +27,12 @@ from .grid import (
 )
 from .planner import (
     POLICY_ABORT,
-    POLICY_SAMPLE,
     POLICY_WAIT,
     GoalSpec,
     Path,
-    _argmax_joint,
-    _argmax_state,
-    _initial_action_weights,
-    _normalized_goals,
-    _sample_joint,
     PlanSetup,
+    _commit_next,
+    _normalized_goals,
     goal_marginal,
 )
 
@@ -164,13 +159,12 @@ class _AgentRunner:
             goal_pairs = _goal_cells(spec, snapshots)
             goal = goal_marginal(goal_pairs, dyn)
         except InvalidGoalError:
-            return self._fallback(me, rng, None, None)
+            return self._blocked(me)
 
         if goal[me.cell] > 0.0:
             return me.cell, STILL.index, None, True
 
         kernel = build_kernel(dyn, self.masks)
-        setup = PlanSetup(kernel, self.p_action, goal, None)
         try:
             horizon = engine.min_time(
                 kernel,
@@ -181,61 +175,30 @@ class _AgentRunner:
                 start_action=me.action,
             )
         except UnreachableError:
-            return self._fallback(me, rng, None, setup)
+            return self._blocked(me)
         if horizon > remaining:
-            return self._fallback(me, rng, None, setup)
+            return self._blocked(me)
 
-        if me.action is None:
-            f = engine.initial_forward(kernel, me.cell)
-        else:
-            values = np.zeros((dyn.rows, dyn.cols, N_ACTIONS))
-            values[me.cell[0], me.cell[1], me.action] = 1.0
-            f = engine.MessageTensor(values, engine.FORWARD)
-
-        def executed_for(cell: Cell, heading: int | None) -> int:
-            if me.action is not None:
-                return me.action
-            weights = _initial_action_weights(setup, me.cell, cell, heading)
-            return int(np.argmax(weights))
-
-        chased = {snapshots[t].cell for t in spec.chase}
-
-        if horizon == 2:
-            f_fin = engine.forward_final(f, kernel)
-            post = f_fin * goal
-            total = post.sum()
-            if total == 0.0:
-                return self._fallback(me, rng, None, setup)
-            cell = _argmax_state(post / total)
-            if cell in chased:
-                # capture without co-occupying the target's cell
-                return me.cell, STILL.index, me.action, True
-            return cell, executed_for(cell, None), None, True
-
+        setup = PlanSetup(kernel, self.p_action, goal, None)
         backward = engine.backward_flow(kernel, self.p_action, goal, horizon)
-        f2 = engine.forward_step(f, kernel, self.p_action)
-        post = engine.posterior(f2, backward[1])
-        if post.is_dead:
-            return self._fallback(me, rng, f2.values, setup)
-        cell, heading = _argmax_joint(post.values)
-        if cell in chased:
+        executed, cell, heading, fell_back = _commit_next(
+            setup, backward, 2, me.cell, me.action, spec.policy, rng, draw=False
+        )
+        if fell_back:
+            if spec.policy == POLICY_WAIT:
+                return self._blocked(me)
+            return cell, executed, heading, False
+        if cell in {snapshots[t].cell for t in spec.chase}:
+            # capture without co-occupying the target's cell
             return me.cell, STILL.index, me.action, True
-        arrived = goal[cell] > 0.0
-        return cell, executed_for(cell, heading), heading, arrived
+        return cell, executed, heading, goal[cell] > 0.0
 
-    def _fallback(self, me: AgentSnapshot, rng, forward_values, setup):
+    def _blocked(self, me: AgentSnapshot) -> tuple[Cell, int, int, bool]:
+        """No plan this round: abort raises, any other policy stands still."""
         if self.spec.policy == POLICY_ABORT:
             raise NoFeasiblePathError(
                 f"agent {self.spec.agent_id} blocked at {me.cell}"
             )
-        if self.spec.policy == POLICY_SAMPLE and forward_values is not None:
-            cell, heading = _sample_joint(forward_values, rng)
-            if me.action is not None:
-                executed = me.action
-            else:
-                weights = _initial_action_weights(setup, me.cell, cell, heading)
-                executed = int(np.argmax(weights))
-            return cell, executed, heading, False
         return me.cell, STILL.index, STILL.index, False
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf, log
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -198,66 +198,84 @@ def resolve_horizon(scenario: Scenario, setup: PlanSetup | None = None) -> int:
     )
 
 
-def _initial_action_weights(
-    setup: PlanSetup, start: Cell, next_cell: Cell, next_action: int | None
-) -> np.ndarray:
-    # weight of each candidate first action given the first committed move
-    du, dv = next_cell[0] - start[0] + 1, next_cell[1] - start[1] + 1
-    pi = (
-        setup.start_actions
-        if setup.start_actions is not None
-        else engine.uniform_actions()
-    )
-    w = pi * setup.kernel.stencils[start[0], start[1], :, du, dv]
-    if next_action is not None:
-        w = w * setup.p_action[:, next_action]
-    return w
-
-
-def _argmax_joint(values: np.ndarray) -> tuple[Cell, int]:
-    # ties break toward the lowest flat (row, col, action) index
-    flat = int(np.argmax(values))
-    i, j, a = np.unravel_index(flat, values.shape)
-    return (int(i), int(j)), int(a)
-
-
-def _argmax_state(values: np.ndarray) -> Cell:
-    flat = int(np.argmax(values))
-    i, j = np.unravel_index(flat, values.shape)
-    return (int(i), int(j))
-
-
-def _sample_joint(values: np.ndarray, rng: np.random.Generator) -> tuple[Cell, int]:
+def _pick(values: np.ndarray, rng: np.random.Generator | None) -> tuple[int, ...]:
+    """Index of the flat argmax (ties toward the lowest) or, given an rng,
+    of a draw proportional to ``values``."""
     flat = values.reshape(-1)
-    flat = flat / flat.sum()
-    pick = int(rng.choice(flat.size, p=flat))
-    i, j, a = np.unravel_index(pick, values.shape)
-    return (int(i), int(j)), int(a)
+    if rng is None:
+        k = int(np.argmax(flat))
+    else:
+        k = int(rng.choice(flat.size, p=flat / flat.sum()))
+    return tuple(int(x) for x in np.unravel_index(k, values.shape))
 
 
-def _sample_state(values: np.ndarray, rng: np.random.Generator) -> Cell:
-    flat = values.reshape(-1)
-    flat = flat / flat.sum()
-    pick = int(rng.choice(flat.size, p=flat))
-    i, j = np.unravel_index(pick, values.shape)
-    return (int(i), int(j))
+def _commit_next(
+    setup: PlanSetup,
+    backward: Sequence[MessageTensor],
+    t: int,
+    cell: Cell,
+    action: int | None,
+    policy: str,
+    rng: np.random.Generator,
+    draw: bool,
+) -> tuple[int, Cell, int | None, bool]:
+    """Commit slice ``t`` of a plan whose slice t-1 is at (cell, action).
+
+    The forward message restarts as that joint delta (``action = None``
+    leaves the heading uniform) and meets ``backward``, the chain from
+    ``engine.backward_flow``; at the final slice the goal marginal takes
+    its place.  The commitment is the posterior argmax, or a draw when
+    ``draw`` is set.  A vanished posterior falls back per ``policy``:
+    abort raises, wait stays on ``cell`` (still), sample draws the pair
+    from the forward message (the final cell as the posterior would be
+    picked).  A free ``action`` is backfilled from the committed move.
+    Returns (action, next_cell, next_action, fell_back); the final
+    slice's next_action is None.
+    """
+    horizon = len(backward) + 1
+    final = t == horizon
+    select = rng if draw else None
+    pi = None if action is None else np.eye(N_ACTIONS)[action]
+    f = engine.initial_forward(setup.kernel, cell, pi)
+    if final:
+        forward = engine.forward_final(f, setup.kernel)
+        post = forward * setup.goal
+        total = post.sum()
+        if total > 0.0:
+            post = post / total
+    else:
+        f_next = engine.forward_step(f, setup.kernel, setup.p_action)
+        forward = f_next.values
+        post = engine.posterior(f_next, backward[t - 1]).values
+
+    fell_back = not post.any()
+    if not fell_back:
+        pick = _pick(post, select)
+    elif policy == POLICY_ABORT:
+        what = f"posterior vanished at slice {t}"
+        if final:
+            what = "final posterior vanished"
+        raise NoFeasiblePathError(f"{what} (horizon {horizon})")
+    elif policy == POLICY_WAIT:
+        pick = cell if final else (*cell, STILL.index)
+    else:
+        pick = _pick(forward, select if final else rng)
+    next_cell = pick[:2]
+    next_action = None if final else pick[2]
+
+    if action is None:
+        # weight of each first action given the committed move
+        du, dv = next_cell[0] - cell[0] + 1, next_cell[1] - cell[1] + 1
+        stencil = setup.kernel.stencils[cell[0], cell[1], :, du, dv]
+        weights = engine.uniform_actions() * stencil
+        if next_action is not None:
+            weights = weights * setup.p_action[:, next_action]
+        (action,) = _pick(weights, select)
+    return action, next_cell, next_action, fell_back
 
 
-def _delta_forward(grid: GridMap, cell: Cell, action: int) -> MessageTensor:
-    values = np.zeros((grid.rows, grid.cols, N_ACTIONS))
-    values[cell[0], cell[1], action] = 1.0
-    return MessageTensor(values, engine.FORWARD)
-
-
-def _extract(
-    scenario: Scenario,
-    select_joint: Callable[[np.ndarray], tuple[Cell, int]],
-    select_state: Callable[[np.ndarray], Cell],
-    select_initial: Callable[[np.ndarray], int],
-    sample_fallback: Callable[[np.ndarray], tuple[Cell, int]] | None,
-) -> Path:
+def _extract(scenario: Scenario, draw: bool) -> Path:
     setup = build_setup(scenario)
-    grid = scenario.grid
     goal_cells = set(scenario.goal_cells)
     start = scenario.start_cell
 
@@ -275,63 +293,21 @@ def _extract(
     backward = engine.backward_flow(
         setup.kernel, setup.p_action, setup.goal, horizon
     )
-
-    if scenario.start_action is not None:
-        f = _delta_forward(grid, start, scenario.start_action.index)
-        first_action: int | None = scenario.start_action.index
-    else:
-        f = engine.initial_forward(setup.kernel, start)
-        first_action = None
-
+    rng = np.random.default_rng(scenario.seed)
+    first_action = (
+        scenario.start_action.index if scenario.start_action is not None else None
+    )
     steps: list[tuple[int, Cell, int | None]] = [(1, start, first_action)]
-    cur = start
-    reached = False
-
-    def commit_first(cell: Cell, action: int | None) -> None:
-        if steps[0][2] is None:
-            weights = _initial_action_weights(setup, start, cell, action)
-            steps[0] = (1, start, select_initial(weights))
-
-    for t in range(2, horizon):
-        f_next = engine.forward_step(f, setup.kernel, setup.p_action)
-        post = engine.posterior(f_next, backward[t - 1])
-        if post.is_dead:
-            if scenario.policy == POLICY_ABORT:
-                raise NoFeasiblePathError(
-                    f"posterior vanished at slice {t} (horizon {horizon})"
-                )
-            if scenario.policy == POLICY_WAIT:
-                cell, action = cur, STILL.index
-            else:
-                cell, action = sample_fallback(f_next.values)
-        else:
-            cell, action = select_joint(post.values)
-        commit_first(cell, action)
-        steps.append((t, cell, action))
-        f = _delta_forward(grid, cell, action)
-        cur = cell
+    for t in range(2, horizon + 1):
+        _, cur, action = steps[-1]
+        action, cell, next_action, _ = _commit_next(
+            setup, backward, t, cur, action, scenario.policy, rng, draw
+        )
+        steps[-1] = (t - 1, cur, action)
+        steps.append((t, cell, next_action))
         if scenario.goal_stop and cell in goal_cells:
-            reached = True
             break
-    else:
-        f_fin = engine.forward_final(f, setup.kernel)
-        post_fin = f_fin * setup.goal
-        total = post_fin.sum()
-        if total > 0.0:
-            cell = select_state(post_fin / total)
-        elif scenario.policy == POLICY_ABORT:
-            raise NoFeasiblePathError(
-                f"final posterior vanished (horizon {horizon})"
-            )
-        elif scenario.policy == POLICY_WAIT:
-            cell = cur
-        else:
-            cell = select_state(f_fin)
-        commit_first(cell, None)
-        steps.append((horizon, cell, None))
-        reached = cell in goal_cells
-
-    return Path(tuple(steps), reached)
+    return Path(tuple(steps), steps[-1][1] in goal_cells)
 
 
 def greedy_plan(scenario: Scenario) -> Path:
@@ -344,30 +320,12 @@ def greedy_plan(scenario: Scenario) -> Path:
     handled per ``scenario.policy``: abort (raise), wait (emit still), or
     sample (draw from the forward message).
     """
-    rng = np.random.default_rng(scenario.seed)
-    return _extract(
-        scenario,
-        select_joint=_argmax_joint,
-        select_state=_argmax_state,
-        select_initial=lambda w: int(np.argmax(w)),
-        sample_fallback=lambda values: _sample_joint(values, rng),
-    )
+    return _extract(scenario, draw=False)
 
 
 def sample_path(scenario: Scenario) -> Path:
     """Like greedy_plan, but draw every commitment from the posterior."""
-    rng = np.random.default_rng(scenario.seed)
-
-    def pick_initial(weights: np.ndarray) -> int:
-        return int(rng.choice(N_ACTIONS, p=weights / weights.sum()))
-
-    return _extract(
-        scenario,
-        select_joint=lambda values: _sample_joint(values, rng),
-        select_state=lambda values: _sample_state(values, rng),
-        select_initial=pick_initial,
-        sample_fallback=lambda values: _sample_joint(values, rng),
-    )
+    return _extract(scenario, draw=True)
 
 
 def path_likelihood(path: Path, scenario: Scenario) -> float:

@@ -38,6 +38,14 @@ def test_mintime_prints_five(capsys, empty5_file):
     assert capsys.readouterr().out.strip() == "5"
 
 
+def test_mintime_ignores_horizon_overrides(tmp_path, capsys):
+    f = tmp_path / "fixed.txt"
+    f.write_text(scenarios.load("empty5").replace("auto", "9"), encoding="utf-8")
+    assert main(["mintime", str(f)]) == 0
+    assert main(["mintime", str(f), "--horizon", "3"]) == 0
+    assert capsys.readouterr().out.split() == ["5", "5"]
+
+
 def test_mintime_unreachable_exits_one(tmp_path, capsys):
     f = tmp_path / "walled.txt"
     f.write_text("---\nS#G\n.#.\n", encoding="utf-8")

@@ -13,6 +13,7 @@ from flowplan import (
     backward_step,
     backward_terminal,
     build_kernel,
+    default_masks,
     forward_final,
     forward_step,
     goal_marginal,
@@ -25,7 +26,7 @@ from flowplan.engine import BACKWARD, FORWARD
 from flowplan.grid import ACTION_BY_NAME, N_ACTIONS
 from flowplan.oracle import bfs_distance, dense_chain, dense_messages
 
-from conftest import feasible_instance, random_map
+from conftest import feasible_instance, free_cells, random_map
 
 
 def joint_delta(grid: GridMap, cell, action_index: int) -> MessageTensor:
@@ -266,6 +267,45 @@ def test_min_time_with_pinned_still_action_needs_one_extra_slice():
     free = min_time(kernel, action_matrix(0.0), (0, 0), goal, 100)
     pinned = min_time(kernel, action_matrix(0.0), (0, 0), goal, 100, start_action=0)
     assert free == 5 and pinned == 6
+
+
+def _dense_min_time(chain, start, goal_cell, actions) -> int | None:
+    # first k at which k-1 boolean joint steps and one to_state step lead
+    # from a (start, a) pair onto the goal cell, as slices: k + 1
+    joint, to_state = chain.joint > 0.0, chain.to_state > 0.0
+    reach = np.zeros(chain.dim, dtype=bool)
+    base = (start[0] * chain.grid.cols + start[1]) * N_ACTIONS
+    reach[[base + a for a in actions]] = True
+    goal_index = goal_cell[0] * chain.grid.cols + goal_cell[1]
+    for k in range(1, chain.dim + 1):
+        if (reach @ to_state)[goal_index]:
+            return k + 1
+        reach = reach @ joint
+    return None
+
+
+@pytest.mark.parametrize("sharpness", [0.3, 0.8, 1.0 - 1e-12])
+@pytest.mark.parametrize("stiffness", [0.0, 0.5, 1.0])
+def test_min_time_matches_dense_oracle_support(rng, sharpness, stiffness):
+    p = action_matrix(stiffness)
+    for _ in range(4):
+        grid = random_map(rng, 5, 5, 0.35)
+        free = free_cells(grid)
+        if len(free) < 2:
+            continue
+        k0, k1 = rng.choice(len(free), 2, replace=False)
+        start, goal_cell = free[k0], free[k1]
+        kernel = build_kernel(grid, default_masks(sharpness))
+        chain = dense_chain(kernel, p)
+        goal = goal_marginal([goal_cell], grid)
+        for pinned in (None, *range(N_ACTIONS)):
+            actions = range(N_ACTIONS) if pinned is None else [pinned]
+            want = _dense_min_time(chain, start, goal_cell, actions)
+            if want is None:
+                with pytest.raises(UnreachableError):
+                    min_time(kernel, p, start, goal, 1000, start_action=pinned)
+            else:
+                assert min_time(kernel, p, start, goal, 1000, start_action=pinned) == want
 
 
 def test_increasing_horizon_preserves_feasibility(rng):

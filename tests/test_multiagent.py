@@ -82,10 +82,36 @@ def test_corridor_scenario_waits_and_arrives():
         validate_path(path, ws.grid)
 
 
-def test_single_agent_stepping_reduces_to_greedy():
-    grid = GridMap.empty(7, 7).with_obstacles([(3, 3), (3, 4)])
-    greedy = greedy_plan(Scenario(grid, (0, 0), [(6, 5)]))
-    result = simulate([AgentSpec(1, (0, 0), [(6, 5)])], grid, t_max=60)
+WALLED7 = GridMap.empty(7, 7).with_obstacles([(3, 3), (3, 4)])
+MAZE15 = parse_scenario(scenarios.load("maze15"))
+
+
+# each agent round runs the greedy decoder's step for one slice, so a lone
+# agent must retrace greedy_plan exactly, whatever the map and parameters
+@pytest.mark.parametrize(
+    "grid, start, goals, sharpness, stiffness",
+    [
+        pytest.param(WALLED7, (0, 0), [(6, 5)], 0.8, 0.0, id="walled7"),
+        pytest.param(
+            MAZE15.grid, MAZE15.start_cell, MAZE15.goals, 0.8, 0.0, id="maze15"
+        ),
+        pytest.param(
+            WALLED7, (0, 0), [((6, 5), 1.0), ((0, 6), 3.0)], 0.8, 0.0,
+            id="weighted-goals",
+        ),
+        pytest.param(WALLED7, (0, 0), [(6, 5)], 0.9, 0.5, id="stiffness-0.5"),
+        pytest.param(WALLED7, (0, 0), [(6, 5)], 0.9, 1.0, id="stiffness-1"),
+        pytest.param(WALLED7, (0, 0), [(6, 5)], 0.6, 0.0, id="sharpness-0.6"),
+    ],
+)
+def test_single_agent_stepping_reduces_to_greedy(
+    grid, start, goals, sharpness, stiffness
+):
+    greedy = greedy_plan(
+        Scenario(grid, start, goals, sharpness=sharpness, stiffness=stiffness)
+    )
+    agent = AgentSpec(1, start, goals, sharpness=sharpness, stiffness=stiffness)
+    result = simulate([agent], grid, t_max=60)
     assert result.paths[1].steps == greedy.steps
 
 
