@@ -106,7 +106,9 @@ def _shift(values: np.ndarray, stencils: np.ndarray, gather: bool) -> np.ndarray
     successors; the gather pulls successor mass back onto each (cell,
     action) pair, and a length-1 action axis gathers a cells-only marginal
     onto every action.  Out-of-bounds targets carry zero stencil weight, so
-    clipped slices are exact.
+    clipped slices are exact.  The kernel stores its stencils offset-major
+    (see ``grid.TransitionKernel``), so ``stencils[..., u, v]`` is one
+    contiguous plane and each offset's pass reads it in order.
     """
     out = np.zeros(stencils.shape[:3])
     for u, v, src, dst in _offsets(*stencils.shape[:2]):
@@ -443,7 +445,7 @@ def _max_sweep(
     kernel: TransitionKernel, p_action: np.ndarray, goal: np.ndarray
 ) -> Iterator[np.ndarray]:
     """Log max-product backward messages, the slice before the goal first."""
-    log_stencils = _log(kernel.stencils)
+    log_stencils = _log(kernel.stencils)  # a ufunc keeps the planes contiguous
     mix = _max_mixer(p_action)
     values = _max_gather(_log(goal)[:, :, None], log_stencils)
     while True:

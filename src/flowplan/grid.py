@@ -176,10 +176,15 @@ class TransitionKernel:
     (i, j) under action a to cell (i + u - 1, j + v - 1).  Entries aimed at
     obstacles or out of bounds are exactly zero; rows for free cells sum to
     one and rows for obstacle cells are all zero.
+
+    Storage is offset-major: ``stencils`` is a read-only view of one
+    C-contiguous (3, 3, rows, cols, N_ACTIONS) array, its
+    ``.transpose(3, 4, 0, 1, 2)``, so ``stencils[..., u, v]`` is the
+    contiguous plane of offset (u, v) that ``engine._shift`` reads whole.
     """
 
     grid: GridMap
-    stencils: np.ndarray  # (rows, cols, N_ACTIONS, 3, 3)
+    stencils: np.ndarray  # (rows, cols, N_ACTIONS, 3, 3) view, see above
 
     @property
     def support(self) -> np.ndarray:
@@ -187,7 +192,8 @@ class TransitionKernel:
 
 
 def _stack_masks(masks: Mapping[Action, np.ndarray]) -> np.ndarray:
-    stacked = np.zeros((N_ACTIONS, 3, 3))
+    """The base masks as one (3, 3, N_ACTIONS) array."""
+    stacked = np.zeros((3, 3, N_ACTIONS))
     for action in ACTIONS:
         m = np.asarray(masks[action], dtype=float)
         if m.shape != (3, 3):
@@ -196,7 +202,7 @@ def _stack_masks(masks: Mapping[Action, np.ndarray]) -> np.ndarray:
             raise ValueError(f"mask for {action.name} has negative weights")
         if abs(m.sum() - 1.0) > _SUM_TOL:
             raise ValueError(f"mask for {action.name} does not sum to 1")
-        stacked[action.index] = m
+        stacked[:, :, action.index] = m
     return stacked
 
 
@@ -217,13 +223,13 @@ def build_kernel(
     n, m = grid.rows, grid.cols
     padded = np.zeros((n + 2, m + 2), dtype=bool)
     padded[1:-1, 1:-1] = grid.free
-    valid = np.empty((n, m, 3, 3), dtype=bool)
-    for u in range(3):
-        for v in range(3):
-            valid[:, :, u, v] = padded[u : u + n, v : v + m]
-
-    stencils = stacked[None, None, :, :, :] * valid[:, :, None, :, :]
-    sums = stencils.sum(axis=(3, 4))  # (n, m, N_ACTIONS)
+    # valid[u, v, i, j]: the target of offset (u, v) from (i, j) is free
+    valid = np.lib.stride_tricks.sliding_window_view(padded, (n, m))
+    planes = np.multiply(stacked[:, :, None, None], valid[..., None], order="C")
+    # numpy's pairwise order for one contiguous 3x3 stencil (a tree of eight,
+    # then the ninth), so each row sum is bit-for-bit its stencil's own sum
+    p = planes.reshape(9, n, m, N_ACTIONS)
+    sums = ((p[0] + p[1]) + (p[2] + p[3])) + ((p[4] + p[5]) + (p[6] + p[7])) + p[8]
 
     free = grid.free
     dead = (sums == 0.0) & free[:, :, None]
@@ -234,8 +240,7 @@ def build_kernel(
             f"action '{ACTIONS[a].name}'"
         )
 
-    safe = np.where(sums > 0.0, sums, 1.0)
-    stencils /= safe[:, :, :, None, None]
-    stencils[~free] = 0.0
-    stencils.flags.writeable = False
-    return TransitionKernel(grid, stencils)
+    planes /= np.where(sums > 0.0, sums, 1.0)
+    planes[:, :, ~free] = 0.0
+    planes.flags.writeable = False
+    return TransitionKernel(grid, planes.transpose(2, 3, 4, 0, 1))

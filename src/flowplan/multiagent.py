@@ -31,6 +31,7 @@ from .planner import (
     GoalSpec,
     Path,
     PlanSetup,
+    _check_sharpness,
     _commit_next,
     _normalized_goals,
     goal_marginal,
@@ -59,6 +60,7 @@ class AgentSpec:
             raise InvalidGoalError(
                 f"agent {self.agent_id} has neither goals nor agents to chase"
             )
+        _check_sharpness(self.sharpness)
 
 
 @dataclass(frozen=True)

@@ -69,6 +69,21 @@ def _normalized_goals(goals: GoalSpec) -> tuple[tuple[Cell, float], ...]:
     return tuple((cell, w / total) for cell, w in pairs)
 
 
+def _check_sharpness(sharpness: float) -> None:
+    """Refuse a stencil sharpness outside (0, 1).
+
+    ``grid.default_masks`` accepts 1, the deterministic limit, but its
+    directional masks then keep no residue on the current cell, and every
+    map has a free cell whose move off the map or into an obstacle would
+    lose all of its mass.
+    """
+    if not 0.0 < sharpness < 1.0:
+        raise ValueError(
+            f"sharpness must be in (0, 1), got {sharpness}: at 1 a cell on "
+            f"the boundary or next to an obstacle keeps no outward move"
+        )
+
+
 @dataclass(frozen=True)
 class Scenario:
     """A single-agent planning problem.
@@ -94,6 +109,7 @@ class Scenario:
     def __post_init__(self):
         if not self.grid.is_free(self.start_cell):
             raise ValueError(f"start {self.start_cell} is not a free cell")
+        _check_sharpness(self.sharpness)
         object.__setattr__(self, "goals", _normalized_goals(self.goals))
         for cell, _ in self.goals:
             if not self.grid.is_free(cell):
@@ -225,6 +241,18 @@ def _window(grid: GridMap, cell: Cell) -> tuple[tuple[slice, ...], tuple[slice, 
     return on_grid, on_stencil
 
 
+def _forward_move(
+    setup: PlanSetup, cell: Cell, action: int | None, final: bool
+) -> np.ndarray:
+    """The forward message one move after the (cell, action) delta (a
+    free heading is uniform): cells at the final slice, else pairs."""
+    pi = None if action is None else np.eye(N_ACTIONS)[action]
+    f = engine.initial_forward(setup.kernel, cell, pi)
+    if final:
+        return engine.forward_final(f, setup.kernel)
+    return engine.forward_step(f, setup.kernel, setup.p_action).values
+
+
 def _commit_next(
     setup: PlanSetup,
     backward: Sequence[MessageTensor] | Sequence[np.ndarray],
@@ -255,13 +283,10 @@ def _commit_next(
     horizon = len(backward) + 1
     final = t == horizon
     select = rng if draw else None
-    pi = None if action is None else np.eye(N_ACTIONS)[action]
-    f = engine.initial_forward(setup.kernel, cell, pi)
-    if final:
-        forward = engine.forward_final(f, setup.kernel)
-    else:
-        f_next = engine.forward_step(f, setup.kernel, setup.p_action)
-        forward = f_next.values
+    # a greedy free heading scores from the stencils alone
+    forward = None
+    if draw or action is not None:
+        forward = _forward_move(setup, cell, action, final)
 
     corner = (0, 0)
     if draw:
@@ -271,6 +296,7 @@ def _commit_next(
             if total > 0.0:
                 score = score / total
         else:
+            f_next = MessageTensor(forward, engine.FORWARD)
             score = engine.posterior(f_next, backward[t - 1]).values
         fell_back = not score.any()
     else:
@@ -305,6 +331,8 @@ def _commit_next(
     elif policy == POLICY_WAIT:
         pick = cell if final else (*cell, STILL.index)
     else:
+        if forward is None:
+            forward = _forward_move(setup, cell, action, final)
         pick = _pick(forward, select if final else rng)
     next_cell = pick[:2]
     next_action = None if final else pick[2]

@@ -13,10 +13,10 @@ separator, and an ASCII grid::
 Grid alphabet: ``#`` obstacle, ``.`` free, ``S`` start and ``G`` goal for
 a single agent, digits ``1``-``9`` agent starts with matching goal letters
 ``a``-``i`` for the multi-agent form.  Header keys: ``horizon`` (``auto``
-or an integer), ``kappa`` (stencil sharpness), ``lambda`` (motion
-stiffness), ``seed``, ``policy`` (abort/wait/sample), ``schedule``
-(fixed/random), ``t_max``, and ``goal_weights`` (comma-separated, matched
-to ``G`` cells in row-major order).
+or an integer), ``kappa`` (stencil sharpness in (0, 1)), ``lambda``
+(motion stiffness), ``seed``, ``policy`` (abort/wait/sample),
+``schedule`` (fixed/random), ``t_max``, and ``goal_weights``
+(comma-separated, matched to ``G`` cells in row-major order).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ScenarioParseError
 from .grid import GridMap
 from .multiagent import AgentSpec
-from .planner import POLICIES, POLICY_WAIT, Scenario
+from .planner import POLICIES, POLICY_WAIT, Scenario, _check_sharpness
 
 _DEFAULTS = {
     "horizon": "auto",
@@ -99,6 +99,11 @@ def _parse_header(lines: list[str]) -> tuple[dict, int]:
             raise ScenarioParseError(
                 f"bad value {value!r} for {key!r}", idx + 1
             ) from None
+        if key == "kappa":
+            try:
+                _check_sharpness(values[key])
+            except ValueError as exc:
+                raise ScenarioParseError(str(exc), idx + 1) from None
         saw_key = True
     return dict(_DEFAULTS), 0
 

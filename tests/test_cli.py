@@ -88,6 +88,15 @@ def test_parse_errors_exit_two(tmp_path, capsys):
     assert "scenario error" in capsys.readouterr().err
 
 
+def test_kappa_one_is_refused_at_its_header_line(tmp_path, capsys):
+    f = tmp_path / "sharp.txt"
+    f.write_text("horizon = auto\nkappa = 1\n---\nS.G\n", encoding="utf-8")
+    assert main(["plan", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("scenario error: line 2: sharpness must be in (0, 1)")
+    assert "keeps no outward move" in err
+
+
 def test_missing_file_exits_two(capsys):
     assert main(["plan", "/nonexistent/path.txt"]) == 2
 

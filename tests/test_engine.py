@@ -24,7 +24,13 @@ from flowplan import (
     posterior,
     run_flows,
 )
-from flowplan.engine import BACKWARD, FORWARD, max_backward_chain, max_backward_flow
+from flowplan.engine import (
+    BACKWARD,
+    FORWARD,
+    _shift,
+    max_backward_chain,
+    max_backward_flow,
+)
 from flowplan.grid import ACTION_BY_NAME, N_ACTIONS
 from flowplan.oracle import bfs_distance, dense_chain, dense_messages
 
@@ -106,6 +112,26 @@ def test_backward_terminal_support_is_gatherable_neighborhood(empty5):
                     and kernel.stencils[i, j, a, du, dv] > 0
                 )
                 assert (b.values[i, j, a] > 0) == reaches
+
+
+@pytest.mark.parametrize("sharpness", [0.3, 0.8, 0.99])
+def test_shift_scatter_and_gather_are_adjoint(rng, sharpness):
+    # <scatter(x), y> == <x, gather(y)>; a plane or offset swapped in
+    # either direction breaks it, and 6 x 9 maps tell rows from columns
+    masks = default_masks(sharpness)
+    for _ in range(5):
+        grid = random_map(rng, 6, 9, 0.25)
+        stencils = build_kernel(grid, masks).stencils
+        x = rng.random((6, 9, N_ACTIONS))
+        y = rng.random((6, 9, N_ACTIONS))
+        lhs = (_shift(x, stencils, False) * y).sum()
+        rhs = (x * _shift(y, stencils, True)).sum()
+        assert lhs == pytest.approx(rhs, rel=1e-12)
+        # the cells-only gather is the adjoint of the scatter summed over actions
+        cells = y[:, :, 0]
+        lhs = (_shift(x, stencils, False).sum(axis=2) * cells).sum()
+        rhs = (x * _shift(cells[:, :, None], stencils, True)).sum()
+        assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 def test_backward_terminal_is_linear_in_the_goal(empty5):

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import math
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -167,6 +170,51 @@ def test_adding_an_obstacle_never_widens_support(seed):
     before = build_kernel(grid).support.sum(axis=(3, 4))
     after = build_kernel(denser).support.sum(axis=(3, 4))
     assert (after <= before).all()
+
+
+def _reference_stencil(grid, mask, i, j):
+    """Censor one cell's 3x3 mask against the map and renormalize it."""
+    if not grid.is_free((i, j)):
+        return [[0.0] * 3 for _ in range(3)]
+    kept = [
+        [float(mask[u, v]) if grid.is_free((i + u - 1, j + v - 1)) else 0.0
+         for v in range(3)]
+        for u in range(3)
+    ]
+    total = math.fsum(w for row in kept for w in row)
+    return [[w / total for w in row] for row in kept]
+
+
+@pytest.mark.parametrize("sharpness", [0.3, 0.8, 0.99])
+def test_stencils_are_read_only_offset_major_planes(rng, sharpness):
+    masks = default_masks(sharpness)
+    for _ in range(4):
+        grid = random_map(rng, 5, 7, 0.3)
+        kernel = build_kernel(grid, masks)
+        stencils = kernel.stencils
+        assert stencils.shape == (5, 7, N_ACTIONS, 3, 3)
+        assert not stencils.flags.writeable
+        # one C-contiguous (3, 3, rows, cols, A) array and nothing else
+        planes = stencils.transpose(3, 4, 0, 1, 2)
+        assert planes.flags.c_contiguous
+        # the max-product sweep takes the log and keeps the layout
+        with np.errstate(divide="ignore"):
+            assert np.log(stencils).transpose(3, 4, 0, 1, 2).flags.c_contiguous
+        assert stencils.base.nbytes == stencils.nbytes
+        assert [f.name for f in fields(kernel)] == ["grid", "stencils"]
+        for i in range(grid.rows):
+            for j in range(grid.cols):
+                for action in ACTIONS:
+                    ref = _reference_stencil(grid, masks[action], i, j)
+                    got = stencils[i, j, action.index]
+                    for u in range(3):
+                        for v in range(3):
+                            if ref[u][v] == 0.0:
+                                assert got[u, v] == 0.0
+                            else:
+                                assert math.isclose(
+                                    got[u, v], ref[u][v], rel_tol=1e-14
+                                )
 
 
 def test_degenerate_stencil_raises():

@@ -209,6 +209,8 @@ def test_simulate_validates_inputs():
         simulate([AgentSpec(1, (0, 0), [(2, 2)]), AgentSpec(2, (0, 0), [(2, 2)])], grid, 10)
     with pytest.raises(ValueError):
         simulate([AgentSpec(1, (0, 0), [(2, 2)])], grid, 10, schedule="sometimes")
+    with pytest.raises(ValueError, match="keeps no outward move"):
+        AgentSpec(1, (0, 0), [(2, 2)], sharpness=1.0)
 
 
 def test_vanishing_arrived_agents_unblock_a_door():

@@ -313,6 +313,9 @@ def test_scenario_validation():
         Scenario(grid, (0, 0), [(0, 1)])
     with pytest.raises(ValueError):
         Scenario(grid, (0, 0), [(2, 2)], policy="panic")
+    for sharpness in (1.0, 0.0, 1.5):
+        with pytest.raises(ValueError, match="keeps no outward move"):
+            Scenario(grid, (0, 0), [(2, 2)], sharpness=sharpness)
 
 
 def test_validate_path_catches_violations():

@@ -139,3 +139,13 @@ def test_missing_separator_after_header_is_reported():
         parse_scenario("horizon = 9\nS.G\n")
     assert "---" in str(err.value)
     assert err.value.line == 2
+
+
+@pytest.mark.parametrize("kappa", ["1", "1.0", "0", "1.5"])
+def test_sharpness_outside_the_open_unit_interval_is_refused(kappa):
+    with pytest.raises(ScenarioParseError) as err:
+        parse_scenario(f"horizon = auto\nkappa = {kappa}\n---\nS.G\n")
+    assert err.value.line == 2
+    assert "sharpness must be in (0, 1)" in str(err.value)
+    with pytest.raises(ScenarioParseError):
+        parse_scenario(f"kappa = {kappa}\n---\n1.a\n")
