@@ -13,11 +13,22 @@ log-likelihood of the best continuation from every (cell, action) pair,
 which is what a decoder of the single most likely path needs (the
 Viterbi recursion).  It is kept in log space, so it cannot underflow at
 any horizon, and -inf marks exactly the pairs that cannot reach the goal.
+
+Every sweep spreads one 3 x 3 stencil per slice from a seed: the start
+cell for the forward flow, the bounding box of the goal's support for
+the backward ones.  A message the engine makes carries the bounding box
+of its support, and each stencil pass runs only on its input's box grown
+by one cell and clipped to the grid (the support window), which becomes
+the whole grid once it reaches every edge.  Cells outside the window
+would only receive +0.0 (or ``max(x, -inf)``), and normalizing sums still
+run over the full arrays, so every result is bit-identical to a
+whole-grid pass.  A tensor built by a caller has no box and is treated as
+whole-grid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import islice
 from typing import Callable, Iterator
@@ -33,6 +44,9 @@ POSTERIOR = "posterior"
 
 _OFFSETS = (-1, 0, 1)
 
+Box = tuple[slice, slice]  # (rows, cols) slices of the grid
+_WHOLE: Box = (slice(None), slice(None))
+
 
 @dataclass(frozen=True, eq=False)
 class MessageTensor:
@@ -40,6 +54,8 @@ class MessageTensor:
 
     values: np.ndarray  # (rows, cols, N_ACTIONS), nonnegative
     kind: str
+    # bounding box of the nonzero cells, set by the engine; None = whole grid
+    _box: Box | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in (FORWARD, BACKWARD, POSTERIOR):
@@ -78,27 +94,52 @@ class FlowSet:
     posterior_final: np.ndarray
 
 
-def _axis_slices(n: int, d: int) -> tuple[slice, slice]:
-    # source range and the same range shifted by d, both clipped to [0, n)
-    src = slice(max(0, -d), n - max(0, d))
-    dst = slice(max(0, d), n + min(0, d))
-    return src, dst
+@lru_cache(maxsize=256)
+def _axis_offsets(n: int) -> tuple:
+    # per offset d: a source range and the same range shifted by d, in [0, n)
+    return tuple(
+        (slice(max(0, -d), n - max(0, d)), slice(max(0, d), n + min(0, d)))
+        for d in _OFFSETS
+    )
 
 
-@lru_cache(maxsize=64)
-def _offsets(n: int, m: int) -> tuple:
-    """(u, v, source, target) for the 9 stencil offsets on an n x m grid;
-    source and target are (rows, cols) slice pairs shifted by the offset."""
-    out = []
-    for u, di in enumerate(_OFFSETS):
-        rs, rd = _axis_slices(n, di)
-        for v, dj in enumerate(_OFFSETS):
-            cs, cd = _axis_slices(m, dj)
-            out.append((u, v, (rs, cs), (rd, cd)))
-    return tuple(out)
+def _offsets(n: int, m: int) -> Iterator[tuple]:
+    """(u, v, source, target) for the 9 stencil offsets on an n x m window;
+    source and target are (rows, cols) slice pairs shifted by the offset.
+    Only the three slice pairs per axis length are cached, so windows of
+    every shape share a few small tables."""
+    cols = _axis_offsets(m)
+    for u, (rs, rd) in enumerate(_axis_offsets(n)):
+        for v, (cs, cd) in enumerate(cols):
+            yield u, v, (rs, cs), (rd, cd)
 
 
-def _shift(values: np.ndarray, stencils: np.ndarray, gather: bool) -> np.ndarray:
+def _box_of(mask: np.ndarray) -> Box:
+    """Bounding box of the true cells of a nonempty 2-D mask."""
+    rows = np.flatnonzero(mask.any(axis=1))
+    cols = np.flatnonzero(mask.any(axis=0))
+    return slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)
+
+
+def _grow(box: Box | None, kernel: TransitionKernel) -> Box:
+    """The support window of a pass on a message supported in ``box``:
+    the box grown by one cell on every side, clipped to the grid."""
+    n, m = kernel.grid.rows, kernel.grid.cols
+    rows, cols = box or (slice(0, n), slice(0, m))
+    return (
+        slice(max(rows.start - 1, 0), min(rows.stop + 1, n)),
+        slice(max(cols.start - 1, 0), min(cols.stop + 1, m)),
+    )
+
+
+def _boxed(message: MessageTensor, box: Box) -> MessageTensor:
+    object.__setattr__(message, "_box", box)
+    return message
+
+
+def _shift(
+    values: np.ndarray, stencils: np.ndarray, gather: bool, window: Box = _WHOLE
+) -> np.ndarray:
     """Move mass one step along every stencil entry.
 
     ``values`` is indexed (row, col, action) by the action that drives the
@@ -109,23 +150,35 @@ def _shift(values: np.ndarray, stencils: np.ndarray, gather: bool) -> np.ndarray
     clipped slices are exact.  The kernel stores its stencils offset-major
     (see ``grid.TransitionKernel``), so ``stencils[..., u, v]`` is one
     contiguous plane and each offset's pass reads it in order.
+
+    The pass runs on ``window`` only, the support window of ``values``
+    (see ``_grow``): ``out``, ``stencils`` and ``values`` are cropped to
+    it and the window's edges act as the grid's.  Every term this drops
+    is a zero value times a finite weight, so the result is bit-identical
+    to the whole-grid pass, and zero outside the window.
     """
     out = np.zeros(stencils.shape[:3])
+    crop, stencils, values = out[window], stencils[window], values[window]
     for u, v, src, dst in _offsets(*stencils.shape[:2]):
         if gather:
-            out[src] += stencils[src][..., u, v] * values[dst]
+            crop[src] += stencils[src][..., u, v] * values[dst]
         else:
-            out[dst] += stencils[src][..., u, v] * values[src]
+            crop[dst] += stencils[src][..., u, v] * values[src]
     return out
 
 
-def _max_gather(log_values: np.ndarray, log_stencils: np.ndarray) -> np.ndarray:
+def _max_gather(
+    log_values: np.ndarray, log_stencils: np.ndarray, window: Box
+) -> np.ndarray:
     """The gather of ``_shift`` with max for sum, in log space: the best
-    successor value of each (cell, action) pair, -inf where there is none."""
+    successor value of each (cell, action) pair, -inf where there is none.
+    It runs on ``window`` as ``_shift`` does; the terms it drops are
+    ``max(x, -inf)``."""
     out = np.full(log_stencils.shape[:3], -np.inf)
-    for u, v, src, dst in _offsets(*log_stencils.shape[:2]):
-        view = out[src]
-        np.maximum(view, log_stencils[src][..., u, v] + log_values[dst], out=view)
+    crop, stencils, values = out[window], log_stencils[window], log_values[window]
+    for u, v, src, dst in _offsets(*crop.shape[:2]):
+        view = crop[src]
+        np.maximum(view, stencils[src][..., u, v] + values[dst], out=view)
     return out
 
 
@@ -151,17 +204,11 @@ def _max_mixer(p_action: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def _forward_raw(
-    values: np.ndarray, kernel: TransitionKernel, p_action: np.ndarray
-) -> np.ndarray:
-    moved = _shift(values, kernel.stencils, gather=False)
-    return moved @ p_action  # mix over the previous action axis
-
-
-def _backward_raw(
-    values: np.ndarray, kernel: TransitionKernel, p_action: np.ndarray
-) -> np.ndarray:
-    mixed = values @ p_action.T
-    return _shift(mixed, kernel.stencils, gather=True)
+    f_prev: MessageTensor, kernel: TransitionKernel, p_action: np.ndarray
+) -> tuple[np.ndarray, Box]:
+    window = _grow(f_prev._box, kernel)
+    moved = _shift(f_prev.values, kernel.stencils, False, window)
+    return moved @ p_action, window  # mix over the previous action axis
 
 
 def forward_step(
@@ -172,11 +219,11 @@ def forward_step(
         raise ValueError("forward_step expects a forward message")
     if f_prev.is_dead:
         raise DeadFlowError("forward message has no mass")
-    out = _forward_raw(f_prev.values, kernel, p_action)
+    out, window = _forward_raw(f_prev, kernel, p_action)
     total = out.sum()
     if total == 0.0:
         raise DeadFlowError("forward mass vanished (support on obstacles only)")
-    return MessageTensor(out / total, FORWARD)
+    return _boxed(MessageTensor(out / total, FORWARD), window)
 
 
 def backward_step(
@@ -185,11 +232,13 @@ def backward_step(
     """One backward sum-product step; an all-zero result stays a dead value."""
     if b_next.kind != BACKWARD:
         raise ValueError("backward_step expects a backward message")
-    out = _backward_raw(b_next.values, kernel, p_action)
+    window = _grow(b_next._box, kernel)
+    mixed = b_next.values @ p_action.T
+    out = _shift(mixed, kernel.stencils, True, window)
     total = out.sum()
     if total > 0.0:
         out /= total
-    return MessageTensor(out, BACKWARD)
+    return _boxed(MessageTensor(out, BACKWARD), window)
 
 
 def backward_terminal(
@@ -197,11 +246,12 @@ def backward_terminal(
 ) -> MessageTensor:
     """Backward message one step before the horizon, gathered from the goal."""
     goal = _checked_goal(goal, kernel)
-    out = _shift(goal[:, :, None], kernel.stencils, gather=True)
+    window = _grow(_box_of(goal > 0.0), kernel)
+    out = _shift(goal[:, :, None], kernel.stencils, True, window)
     total = out.sum()
     if total == 0.0:
         raise InvalidGoalError("goal mass sits entirely on obstacle cells")
-    return MessageTensor(out / total, BACKWARD)
+    return _boxed(MessageTensor(out / total, BACKWARD), window)
 
 
 def forward_final(
@@ -210,7 +260,8 @@ def forward_final(
     """Final forward cell marginal: last transition summed over actions."""
     if f_prev.is_dead:
         raise DeadFlowError("forward message has no mass")
-    out = _shift(f_prev.values, kernel.stencils, gather=False).sum(axis=2)
+    window = _grow(f_prev._box, kernel)
+    out = _shift(f_prev.values, kernel.stencils, False, window).sum(axis=2)
     total = out.sum()
     if total == 0.0:
         raise DeadFlowError("forward mass vanished (support on obstacles only)")
@@ -272,7 +323,8 @@ def initial_forward(
     grid = kernel.grid
     values = np.zeros((grid.rows, grid.cols, N_ACTIONS))
     values[start_cell[0], start_cell[1], :] = pi
-    return MessageTensor(values, FORWARD)
+    box = tuple(slice(k, k + 1) for k in start_cell)
+    return _boxed(MessageTensor(values, FORWARD), box)
 
 
 def backward_flow(
@@ -314,13 +366,14 @@ def run_flows(
     forward = [initial_forward(kernel, start_cell, start_actions)]
     norms: list[float] = []
     for _ in range(2, horizon):
-        raw = _forward_raw(forward[-1].values, kernel, p_action)
+        raw, window = _forward_raw(forward[-1], kernel, p_action)
         total = raw.sum()
         if total == 0.0:
             raise DeadFlowError("forward mass vanished")
         norms.append(total)
-        forward.append(MessageTensor(raw / total, FORWARD))
-    final_raw = _shift(forward[-1].values, kernel.stencils, gather=False)
+        forward.append(_boxed(MessageTensor(raw / total, FORWARD), window))
+    window = _grow(forward[-1]._box, kernel)
+    final_raw = _shift(forward[-1].values, kernel.stencils, False, window)
     final_raw = final_raw.sum(axis=2)
     final_total = final_raw.sum()
     if final_total == 0.0:
@@ -419,10 +472,12 @@ def min_time(
     def support_sweep() -> Iterator[np.ndarray]:
         # 0/1 inputs keep every product of positive weights far above the
         # underflow range, so "> 0" after each step is exactly the support
-        sup = _shift((goal > 0.0)[:, :, None], kernel.stencils, gather=True) > 0.0
+        sup, window = (goal > 0.0)[:, :, None], _box_of(goal > 0.0)
         while True:
+            window = _grow(window, kernel)
+            sup = _shift(sup, kernel.stencils, True, window) > 0.0
             yield sup
-            sup = _backward_raw(sup, kernel, p_action) > 0.0
+            sup = sup @ p_action.T
 
     sweep = _until_start(
         support_sweep(), lambda sup: sup, kernel, start_cell, start_action, t_max
@@ -447,10 +502,12 @@ def _max_sweep(
     """Log max-product backward messages, the slice before the goal first."""
     log_stencils = _log(kernel.stencils)  # a ufunc keeps the planes contiguous
     mix = _max_mixer(p_action)
-    values = _max_gather(_log(goal)[:, :, None], log_stencils)
+    values, window = _log(goal)[:, :, None], _box_of(goal > 0.0)
     while True:
+        window = _grow(window, kernel)
+        values = _max_gather(values, log_stencils, window)
         yield values
-        values = _max_gather(mix(values), log_stencils)
+        values = mix(values)
 
 
 def _until_start(

@@ -180,7 +180,7 @@ class TransitionKernel:
     Storage is offset-major: ``stencils`` is a read-only view of one
     C-contiguous (3, 3, rows, cols, N_ACTIONS) array, its
     ``.transpose(3, 4, 0, 1, 2)``, so ``stencils[..., u, v]`` is the
-    contiguous plane of offset (u, v) that ``engine._shift`` reads whole.
+    contiguous plane of offset (u, v) that ``engine._shift`` reads in order.
     """
 
     grid: GridMap

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import engine
 from .engine import MessageTensor
-from .errors import InvalidGoalError, NoFeasiblePathError
+from .errors import FlowUnderflowError, InvalidGoalError, NoFeasiblePathError
 from .grid import (
     Action,
     Cell,
@@ -253,6 +253,16 @@ def _forward_move(
     return engine.forward_step(f, setup.kernel, setup.p_action).values
 
 
+def _reachable(setup: PlanSetup, cell: Cell, action: int | None, slices: int) -> bool:
+    """Whether a path that starts on (cell, action), any action if None,
+    can end on the goal ``slices`` slices later, counting its first.  Read
+    from the log max-product chain, which cannot underflow."""
+    first = engine.max_backward_flow(
+        setup.kernel, setup.p_action, setup.goal, slices
+    )[0][cell]
+    return bool(np.isfinite(first if action is None else first[action]).any())
+
+
 def _commit_next(
     setup: PlanSetup,
     backward: Sequence[MessageTensor] | Sequence[np.ndarray],
@@ -275,7 +285,10 @@ def _commit_next(
     best first action).  At the final slice the goal marginal takes the
     chain's place.  A vanished score falls back per ``policy``: abort
     raises, wait stays on ``cell`` (still), sample draws the pair from the
-    forward message (the final cell as the score would be picked).  A
+    forward message (the final cell as the score would be picked).  Abort
+    raises ``FlowUnderflowError`` when a drawn posterior vanished although
+    the goal is reachable in time from (cell, action), and
+    ``NoFeasiblePathError`` otherwise.  A
     free ``action`` is backfilled from the committed move.  Returns
     (action, next_cell, next_action, fell_back); the final slice's
     next_action is None.
@@ -327,7 +340,14 @@ def _commit_next(
         what = f"posterior vanished at slice {t}"
         if final:
             what = "final posterior vanished"
-        raise NoFeasiblePathError(f"{what} (horizon {horizon})")
+        what = f"{what} (horizon {horizon})"
+        # (cell, action) sits at slice t - 1 of the horizon
+        if draw and _reachable(setup, cell, action, horizon - t + 2):
+            raise FlowUnderflowError(
+                f"{what}: float64 underflow in the sum-product backward flow, "
+                f"the goal is reachable in time"
+            )
+        raise NoFeasiblePathError(what)
     elif policy == POLICY_WAIT:
         pick = cell if final else (*cell, STILL.index)
     else:

@@ -68,6 +68,14 @@ def test_plan_below_minimum_time_exits_one(capsys, empty5_file):
     assert "no feasible path" in err
 
 
+def test_sample_underflow_exits_one(tmp_path, capsys):
+    f = tmp_path / "long.txt"
+    f.write_text("---\n" + "." * 700 + "\nS" + "." * 698 + "G\n" + "." * 700 + "\n")
+    assert main(["sample", str(f)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("no feasible path: posterior vanished") and "underflow" in err
+
+
 def test_plan_is_byte_identical_across_runs(capsys, empty5_file):
     assert main(["plan", empty5_file]) == 0
     first = capsys.readouterr().out

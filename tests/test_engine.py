@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowplan import (
     DeadFlowError,
@@ -24,10 +26,15 @@ from flowplan import (
     posterior,
     run_flows,
 )
+from flowplan import engine
 from flowplan.engine import (
     BACKWARD,
     FORWARD,
+    _grow,
+    _log,
+    _max_gather,
     _shift,
+    backward_flow,
     max_backward_chain,
     max_backward_flow,
 )
@@ -132,6 +139,105 @@ def test_shift_scatter_and_gather_are_adjoint(rng, sharpness):
         lhs = (_shift(x, stencils, False).sum(axis=2) * cells).sum()
         rhs = (x * _shift(cells[:, :, None], stencils, True)).sum()
         assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+def _outside(values: np.ndarray, box, blank: float = 0.0) -> np.ndarray:
+    """``values`` with the cells of ``box`` set to ``blank``."""
+    rest = values.copy()
+    rest[box] = blank
+    return rest
+
+
+SIDE = st.integers(1, 8)
+# a third of the grids is a single row or a single column
+SHAPES = st.one_of(
+    st.tuples(st.just(1), SIDE), st.tuples(SIDE, st.just(1)), st.tuples(SIDE, SIDE)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(SHAPES, st.floats(0.05, 0.95), st.integers(0, 2**32 - 1), st.data())
+def test_windowed_passes_equal_the_whole_grid_pass(shape, sharpness, seed, data):
+    rows, cols = shape
+    rng = np.random.default_rng(seed)
+    grid = random_map(rng, rows, cols, 0.25)
+    kernel = build_kernel(grid, default_masks(sharpness))
+    r0, r1 = sorted(data.draw(st.lists(st.integers(0, rows), min_size=2, max_size=2)))
+    c0, c1 = sorted(data.draw(st.lists(st.integers(0, cols), min_size=2, max_size=2)))
+    box = (slice(r0, r1), slice(c0, c1))
+    x = np.zeros((rows, cols, N_ACTIONS))
+    x[box] = rng.random(x[box].shape) * (rng.random(x[box].shape) < 0.7)
+    window = _grow(box, kernel)
+    stencils = kernel.stencils
+    for values in (x, x.sum(axis=2, keepdims=True)):  # pairs, then cells only
+        for gather in (False, True):
+            if values.shape[2] == 1 and not gather:
+                continue
+            windowed = _shift(values, stencils, gather, window)
+            assert windowed.tobytes() == _shift(values, stencils, gather).tobytes()
+    log_stencils = _log(stencils)
+    windowed = _max_gather(_log(x), log_stencils, window)
+    whole = _grow(None, kernel)  # the window that covers the grid
+    assert windowed.tobytes() == _max_gather(_log(x), log_stencils, whole).tobytes()
+
+    free = free_cells(grid)
+    if not free:
+        return
+    start = free[rng.integers(len(free))]
+    goal = goal_marginal([free[k] for k in rng.integers(len(free), size=2)], grid)
+    horizon = int(rng.integers(2, 7))
+    p = action_matrix(float(rng.choice([0.0, 0.5, 1.0])))
+    flows = run_flows(kernel, p, start, goal, horizon)
+    chain = backward_flow(kernel, p, goal, horizon)
+    for message in (*flows.forward, *flows.backward, *chain):
+        assert message._box is not None
+        assert not _outside(message.values, message._box).any()
+    # slice T-1-k of the max-product chain is the goal box grown k+1 times
+    box = engine._box_of(goal > 0.0)
+    for values in reversed(max_backward_flow(kernel, p, goal, horizon)):
+        box = _grow(box, kernel)
+        assert not np.isfinite(_outside(values, box, -np.inf)).any()
+
+
+def test_stencil_passes_run_on_the_support_window(monkeypatch):
+    shapes = []
+    offsets = engine._offsets
+
+    def recording(n, m):
+        shapes.append((n, m))
+        return offsets(n, m)
+
+    monkeypatch.setattr(engine, "_offsets", recording)
+    grid = GridMap.empty(60, 60)
+    kernel, p = build_kernel(grid), action_matrix(0.0)
+    goal = goal_marginal([(59, 59)], grid)
+
+    backward_terminal(goal, kernel)
+    assert shapes == [(2, 2)]
+    shapes.clear()
+    forward_step(initial_forward(kernel, (30, 30)), kernel, p)
+    forward_step(initial_forward(kernel, (0, 30)), kernel, p)
+    assert shapes == [(3, 3), (2, 3)]
+    shapes.clear()
+    run_flows(kernel, p, (0, 0), goal, 10)
+    # nine forward and nine backward passes, each window one cell wider
+    assert sorted(shapes) == sorted([(k, k) for k in range(2, 11)] * 2)
+
+
+def test_caller_built_messages_run_on_the_whole_grid(empty5, monkeypatch):
+    grid, kernel, p = empty5
+    shapes = []
+    offsets = engine._offsets
+    monkeypatch.setattr(
+        engine, "_offsets", lambda n, m: shapes.append((n, m)) or offsets(n, m)
+    )
+    message = joint_delta(grid, (2, 2), 0)
+    assert message._box is None
+    out = forward_step(message, kernel, p)
+    assert shapes == [(5, 5)]
+    assert out.values.tobytes() == forward_step(
+        initial_forward(kernel, (2, 2), np.eye(N_ACTIONS)[0]), kernel, p
+    ).values.tobytes()
 
 
 def test_backward_terminal_is_linear_in_the_goal(empty5):

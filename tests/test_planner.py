@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from flowplan import (
+    FlowUnderflowError,
     GridMap,
     InvalidGoalError,
     NoFeasiblePathError,
@@ -69,6 +70,24 @@ def test_greedy_aborts_below_minimum_time():
     scenario = Scenario(GridMap.empty(5, 5), (0, 0), [(4, 4)], horizon=4)
     with pytest.raises(NoFeasiblePathError):
         greedy_plan(scenario)
+
+
+CORRIDOR_3X700 = Scenario(GridMap.empty(3, 700), (1, 0), [(1, 699)])
+
+
+def test_sample_path_names_float_underflow_on_a_feasible_long_corridor():
+    # the normalized sum-product backward message underflows at its
+    # frontier long before it reaches the start, but the pair is feasible
+    assert resolve_horizon(CORRIDOR_3X700) == 700
+    with pytest.raises(FlowUnderflowError, match="slice 2 .*underflow"):
+        sample_path(CORRIDOR_3X700)
+    assert greedy_plan(CORRIDOR_3X700).reached_goal
+
+
+def test_sample_path_below_minimum_time_is_plainly_infeasible():
+    with pytest.raises(NoFeasiblePathError) as info:
+        sample_path(replace(CORRIDOR_3X700, horizon=699))
+    assert type(info.value) is NoFeasiblePathError
 
 
 def test_greedy_wait_policy_stalls_instead_of_aborting():
