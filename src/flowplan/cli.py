@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from functools import lru_cache
 from pathlib import Path as FsPath
 
 from . import multiagent, planner, render, scenario_io
@@ -34,7 +35,10 @@ EXIT_INFEASIBLE = 1
 EXIT_USAGE = 2
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it as
+    it was."""
     parser = argparse.ArgumentParser(
         prog="flowplan",
         description="grid path planning driven by probability flows",

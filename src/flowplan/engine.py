@@ -24,6 +24,13 @@ would only receive +0.0 (or ``max(x, -inf)``), and normalizing sums still
 run over the full arrays, so every result is bit-identical to a
 whole-grid pass.  A tensor built by a caller has no box and is treated as
 whole-grid.
+
+Both ends are used where only reachability or one path matters.
+``min_time`` grows boolean support from the start and from the goal,
+always on the side with the smaller window, and stops where the two
+meet.  The greedy decoder's max-product chain (``_max_tube``) runs each
+slice only on the cells a path from the start can reach by then, the
+tube between the two cones.
 """
 
 from __future__ import annotations
@@ -132,6 +139,28 @@ def _grow(box: Box | None, kernel: TransitionKernel) -> Box:
     )
 
 
+def _around(cell: Cell, radius: int, kernel: TransitionKernel) -> Box:
+    """The cells within ``radius`` steps of ``cell``, clipped to the grid."""
+    n, m = kernel.grid.rows, kernel.grid.cols
+    return (
+        slice(max(cell[0] - radius, 0), min(cell[0] + radius + 1, n)),
+        slice(max(cell[1] - radius, 0), min(cell[1] + radius + 1, m)),
+    )
+
+
+def _intersect(a: Box, b: Box) -> Box:
+    """The cells in both boxes; a slice of length zero where there are none."""
+    out = []
+    for x, y in zip(a, b):
+        lo = max(x.start, y.start)
+        out.append(slice(lo, max(lo, min(x.stop, y.stop))))
+    return tuple(out)
+
+
+def _area(box: Box) -> int:
+    return (box[0].stop - box[0].start) * (box[1].stop - box[1].start)
+
+
 def _boxed(message: MessageTensor, box: Box) -> MessageTensor:
     object.__setattr__(message, "_box", box)
     return message
@@ -156,8 +185,12 @@ def _shift(
     it and the window's edges act as the grid's.  Every term this drops
     is a zero value times a finite weight, so the result is bit-identical
     to the whole-grid pass, and zero outside the window.
+
+    ``out`` takes the inputs' result dtype: on ``bool`` stencils and
+    values ``*`` is AND and ``+=`` is OR, so the same loop propagates
+    support (``TransitionKernel.support``).
     """
-    out = np.zeros(stencils.shape[:3])
+    out = np.zeros(stencils.shape[:3], dtype=np.result_type(stencils, values))
     crop, stencils, values = out[window], stencils[window], values[window]
     for u, v, src, dst in _offsets(*stencils.shape[:2]):
         if gather:
@@ -168,7 +201,7 @@ def _shift(
 
 
 def _max_gather(
-    log_values: np.ndarray, log_stencils: np.ndarray, window: Box
+    log_values: np.ndarray, log_stencils: np.ndarray, window: Box = _WHOLE
 ) -> np.ndarray:
     """The gather of ``_shift`` with max for sum, in log space: the best
     successor value of each (cell, action) pair, -inf where there is none.
@@ -269,14 +302,23 @@ def forward_final(
 
 
 def posterior(f: MessageTensor, b: MessageTensor) -> MessageTensor:
-    """Normalized pointwise product; dead (all-zero) if supports are disjoint."""
+    """Normalized pointwise product; dead (all-zero) if supports are disjoint.
+
+    The product runs on the intersection of the two boxes only, the
+    result's box; outside it one factor is zero, and the sum still runs
+    over the full array, so the result is bit-identical to a whole-grid
+    product.
+    """
     if f.values.shape != b.values.shape:
         raise ValueError("forward/backward shapes differ")
-    out = f.values * b.values
+    whole = tuple(slice(0, k) for k in f.values.shape[:2])
+    box = _intersect(f._box or whole, b._box or whole)
+    out = np.zeros(f.values.shape)
+    out[box] = f.values[box] * b.values[box]
     total = out.sum()
     if total > 0.0:
-        out = out / total
-    return MessageTensor(out, POSTERIOR)
+        out[box] /= total
+    return _boxed(MessageTensor(out, POSTERIOR), box)
 
 
 def uniform_actions() -> np.ndarray:
@@ -441,9 +483,7 @@ def max_backward_chain(
     if goal[start_cell] > 0.0:
         return []
     sweep = _max_sweep(kernel, p_action, goal)
-    chain = list(
-        _until_start(sweep, np.isfinite, kernel, start_cell, start_action, t_max)
-    )
+    chain = list(_until_start(sweep, kernel, start_cell, start_action, t_max))
     chain.reverse()
     return chain
 
@@ -464,25 +504,114 @@ def min_time(
     (cell, action) pair instead.  Support is propagated as booleans, not
     floats, so long horizons cannot underflow into false negatives.
     Raises UnreachableError when no horizon up to ``t_max`` works.
+
+    The search meets in the middle (Pohl's bidirectional search) in joint
+    (cell, action) space: forward support F_i grows from the start pairs,
+    backward support B_j from the goal, one move at a time on whichever
+    side has the smaller window, and a path of i + j moves exists exactly
+    when F_i and B_j share a pair.  Each side runs only on its window and
+    the meeting is tested on the intersection of the two.  The stopping
+    rules are those of a one-sided sweep of B from the goal: it raises at
+    the first B_j equal to B_(j-1), a fixed point that never touched the
+    start, and after the last gather ``t_max`` allows.
     """
     goal = _checked_start_goal(kernel, start_cell, goal, t_max)
     if goal[start_cell] > 0.0:
         return 1
+    grid = kernel.grid
+    # the most gathers a one-sided sweep makes; any backward support
+    # repeats within one sweep of the joint space
+    cap = min(t_max - 1, grid.rows * grid.cols * N_ACTIONS + 2)
+    mix_forward, mix_backward = _support_mixers(p_action)
+    support = kernel.support
 
-    def support_sweep() -> Iterator[np.ndarray]:
-        # 0/1 inputs keep every product of positive weights far above the
-        # underflow range, so "> 0" after each step is exactly the support
-        sup, window = (goal > 0.0)[:, :, None], _box_of(goal > 0.0)
+    def forward_side() -> Iterator[tuple[Box, np.ndarray]]:
+        # F_0, F_1, ...: pairs at the end of i moves, headings mixed;
+        # stops after the first F_i equal to F_(i-1), which repeats forever
+        depth = N_ACTIONS if start_action is not None else 1
+        sup = np.zeros((grid.rows, grid.cols, depth), dtype=bool)
+        sup[start_cell + ((start_action or 0),)] = True
+        box = _around(start_cell, 0, kernel)
+        yield box, sup
         while True:
-            window = _grow(window, kernel)
-            sup = _shift(sup, kernel.stencils, True, window) > 0.0
-            yield sup
-            sup = sup @ p_action.T
+            box = _grow(box, kernel)
+            moved = _shift(sup, support, False, box)
+            previous, sup = sup, _mixed_on(mix_forward, moved, box)
+            yield box, sup
+            if np.array_equal(sup[box], previous[box]):
+                return
 
-    sweep = _until_start(
-        support_sweep(), lambda sup: sup, kernel, start_cell, start_action, t_max
-    )
-    return 1 + sum(1 for _ in sweep)
+    def backward_side() -> Iterator[tuple[Box, np.ndarray]]:
+        # B_1, B_2, ...: pairs that end on the goal after exactly j moves
+        sup, box = (goal > 0.0)[:, :, None], _box_of(goal > 0.0)
+        previous = None
+        for _ in range(cap):
+            box = _grow(box, kernel)
+            gathered = _shift(sup, support, True, box)
+            if previous is not None and np.array_equal(
+                gathered[box], previous[box]
+            ):
+                raise UnreachableError(
+                    f"backward support reached a fixed point without touching "
+                    f"{start_cell}"
+                )
+            yield box, gathered
+            previous, sup = gathered, _mixed_on(mix_backward, gathered, box)
+        raise UnreachableError(
+            f"no backward mass at {start_cell} within horizon {t_max}"
+        )
+
+    forward, backward = forward_side(), backward_side()
+    (f_box, f), (b_box, b) = next(forward), next(backward)
+    moves = 1
+    while not _meets(f, f_box, b, b_box):
+        if moves == cap:
+            # no path within the cap: B alone decides which error it is
+            for _ in backward:
+                pass
+        moves += 1
+        step = next(forward, None) if _area(f_box) < _area(b_box) else None
+        if step is None:
+            b_box, b = next(backward)
+        else:
+            f_box, f = step
+    return moves + 1
+
+
+def _support_mixers(
+    p_action: np.ndarray,
+) -> tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]:
+    """The boolean action mix, forward (a heading moved in, to the headings
+    it may switch to) and backward (a heading, to those that may switch
+    to it).  Without a zero entry in ``p_action`` every switch is allowed,
+    an ``any`` over actions kept as one plane; at stiffness 1 only the
+    heading itself, the identity.  Other matrices take a 9 x 9 product."""
+    allowed = np.asarray(p_action) > 0.0
+    if allowed.all():
+        def any_action(v):
+            return v.any(axis=2, keepdims=True)
+
+        return any_action, any_action
+    if (allowed == np.eye(N_ACTIONS, dtype=bool)).all():
+        return (lambda v: v), (lambda v: v)
+    return (lambda v: v @ allowed), (lambda v: v @ allowed.T)
+
+
+def _mixed_on(
+    mix: Callable[[np.ndarray], np.ndarray], values: np.ndarray, window: Box
+) -> np.ndarray:
+    """``mix`` applied on ``window`` only, zero outside: exact for a
+    per-cell mix of values that are zero outside ``window``."""
+    crop = mix(values[window])
+    out = np.zeros(values.shape[:2] + crop.shape[2:], dtype=crop.dtype)
+    out[window] = crop
+    return out
+
+
+def _meets(f: np.ndarray, f_box: Box, b: np.ndarray, b_box: Box) -> bool:
+    """Whether supports ``f`` and ``b``, zero outside their boxes, share a pair."""
+    both = _intersect(f_box, b_box)
+    return bool((f[both] & b[both]).any())
 
 
 def _checked_start_goal(
@@ -510,25 +639,77 @@ def _max_sweep(
         values = mix(values)
 
 
+@dataclass(frozen=True, eq=False)
+class _LogCrop:
+    """A log max-product slice stored on ``box`` only, -inf elsewhere."""
+
+    box: Box
+    values: np.ndarray  # (box rows, box cols, depth)
+
+    def __getitem__(self, cells: Box) -> np.ndarray:
+        """The slice on ``cells``, a box with explicit bounds."""
+        rows, cols = (s.stop - s.start for s in cells)
+        out = np.full((rows, cols, self.values.shape[2]), -np.inf)
+        both = _intersect(cells, self.box)
+        out[_relative(both, cells)] = self.values[_relative(both, self.box)]
+        return out
+
+
+def _relative(inner: Box, outer: Box) -> Box:
+    return tuple(slice(i.start - o.start, i.stop - o.start) for i, o in zip(inner, outer))
+
+
+def _max_tube(
+    kernel: TransitionKernel,
+    p_action: np.ndarray,
+    goal: np.ndarray,
+    horizon: int,
+    start_cell: Cell,
+) -> list[_LogCrop]:
+    """``max_backward_flow`` on the tube between the start and the goal.
+
+    Slice s runs on its goal-side window intersected with the cells within
+    s steps of ``start_cell``.  Its gather reads one cell further out, so
+    the slice is exact within s - 1 steps, where a path from the start is
+    at slice s - 1 and which holds every neighbour it can move to; cells
+    nearer the tube's edge come out too low, and no exact cell reads
+    them.  The max and the mix are exact under cropping, so every exact
+    entry is bit-identical to ``max_backward_flow``.  Slices are stored as
+    crops, latest time last.
+    """
+    goal = _checked_goal(goal, kernel)
+    log_stencils = _log(kernel.stencils)
+    mix = _max_mixer(p_action)
+    box = _box_of(goal > 0.0)
+    values = _LogCrop(box, _log(goal[box])[:, :, None])
+    chain = []
+    for s in range(horizon - 1, 0, -1):
+        box = _grow(box, kernel)
+        window = _intersect(box, _around(start_cell, s, kernel))
+        out = _max_gather(values[window], log_stencils[window])
+        chain.append(_LogCrop(window, out))
+        values = _LogCrop(window, mix(out))
+    chain.reverse()
+    return chain
+
+
 def _until_start(
     sweep: Iterator[np.ndarray],
-    support: Callable[[np.ndarray], np.ndarray],
     kernel: TransitionKernel,
     start_cell: Cell,
     start_action: int | None,
     t_max: int,
 ) -> Iterator[np.ndarray]:
-    """Slices of a backward sweep up to the first with support at the start.
+    """Slices of a log backward sweep up to the first finite at the start.
 
-    ``support`` maps a slice to its boolean support.  Raises
-    UnreachableError once the horizon would pass ``t_max`` or the support
-    stops changing without touching the start.
+    Raises UnreachableError once the horizon would pass ``t_max`` or the
+    finite support stops changing without touching the start.
     """
     # any backward support needs at most one sweep of the joint space
     hard_cap = kernel.grid.rows * kernel.grid.cols * N_ACTIONS + 1
     previous = None
     for gathers, values in enumerate(sweep, start=1):
-        sup = support(values)
+        sup = np.isfinite(values)
         if previous is not None and np.array_equal(sup, previous):
             raise UnreachableError(
                 f"backward support reached a fixed point without touching "

@@ -9,6 +9,7 @@ leave the map is censored away and the remainder renormalized.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -186,9 +187,12 @@ class TransitionKernel:
     grid: GridMap
     stencils: np.ndarray  # (rows, cols, N_ACTIONS, 3, 3) view, see above
 
-    @property
+    @cached_property
     def support(self) -> np.ndarray:
-        return self.stencils > 0.0
+        """``stencils > 0``, computed once, in the same offset-major layout."""
+        support = self.stencils > 0.0
+        support.flags.writeable = False
+        return support
 
 
 def _stack_masks(masks: Mapping[Action, np.ndarray]) -> np.ndarray:

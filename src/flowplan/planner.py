@@ -1,7 +1,8 @@
 """Path extraction on top of the message-passing engine.
 
 The greedy planner precomputes the log-domain max-product backward chain
-once, then walks the horizon forward: at each slice it restarts the
+once, on the tube of cells a path from the start can reach by each slice
+(``engine._max_tube``), then walks the horizon forward: at each slice it restarts the
 forward message as a delta on the committed (cell, action) pair, scores
 every next pair by that delta's move times the best continuation, and
 commits the argmax.  This is the Viterbi decoder, so the committed path
@@ -14,7 +15,7 @@ generator of plausible paths.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf, log
+from math import inf, isfinite, log
 from typing import Sequence
 
 import numpy as np
@@ -63,9 +64,17 @@ def _normalized_goals(goals: GoalSpec) -> tuple[tuple[Cell, float], ...]:
             pairs.append(((int(g[0]), int(g[1])), 1.0))
     if not pairs:
         raise InvalidGoalError("at least one goal is required")
+    for _, w in pairs:
+        if not isfinite(w):
+            raise InvalidGoalError(f"goal weights must be finite, got {w}")
     total = sum(w for _, w in pairs)
     if total <= 0.0 or any(w <= 0.0 for _, w in pairs):
         raise InvalidGoalError("goal weights must be positive")
+    if total == inf:
+        # finite weights whose sum overflows: scale by the largest first
+        top = max(w for _, w in pairs)
+        pairs = [(cell, w / top) for cell, w in pairs]
+        total = sum(w for _, w in pairs)
     return tuple((cell, w / total) for cell, w in pairs)
 
 
@@ -243,14 +252,16 @@ def _window(grid: GridMap, cell: Cell) -> tuple[tuple[slice, ...], tuple[slice, 
 
 def _forward_move(
     setup: PlanSetup, cell: Cell, action: int | None, final: bool
-) -> np.ndarray:
-    """The forward message one move after the (cell, action) delta (a
-    free heading is uniform): cells at the final slice, else pairs."""
+) -> tuple[np.ndarray, MessageTensor | None]:
+    """The forward values one move after the (cell, action) delta (a free
+    heading is uniform): cells at the final slice, else pairs, with their
+    boxed message."""
     pi = None if action is None else np.eye(N_ACTIONS)[action]
     f = engine.initial_forward(setup.kernel, cell, pi)
     if final:
-        return engine.forward_final(f, setup.kernel)
-    return engine.forward_step(f, setup.kernel, setup.p_action).values
+        return engine.forward_final(f, setup.kernel), None
+    message = engine.forward_step(f, setup.kernel, setup.p_action)
+    return message.values, message
 
 
 def _reachable(setup: PlanSetup, cell: Cell, action: int | None, slices: int) -> bool:
@@ -279,7 +290,9 @@ def _commit_next(
     leaves the heading uniform).  With ``draw`` set it meets ``backward``,
     the sum-product chain from ``engine.backward_flow``, and the pair is
     drawn from that posterior.  Otherwise ``backward`` is the log chain
-    from ``engine.max_backward_flow`` and the commitment is the argmax of
+    from ``engine.max_backward_flow``, or any chain whose slice t is exact
+    on the neighbourhood of ``cell`` (the tube of ``engine._max_tube``),
+    and the commitment is the argmax of
     the forward delta's best move times the best continuation, so the
     committed path is a maximum-likelihood one (a free heading takes the
     best first action).  At the final slice the goal marginal takes the
@@ -297,9 +310,9 @@ def _commit_next(
     final = t == horizon
     select = rng if draw else None
     # a greedy free heading scores from the stencils alone
-    forward = None
+    forward = message = None
     if draw or action is not None:
-        forward = _forward_move(setup, cell, action, final)
+        forward, message = _forward_move(setup, cell, action, final)
 
     corner = (0, 0)
     if draw:
@@ -309,8 +322,7 @@ def _commit_next(
             if total > 0.0:
                 score = score / total
         else:
-            f_next = MessageTensor(forward, engine.FORWARD)
-            score = engine.posterior(f_next, backward[t - 1]).values
+            score = engine.posterior(message, backward[t - 1]).values
         fell_back = not score.any()
     else:
         # only the neighbourhood of ``cell`` is reachable in one move
@@ -352,7 +364,7 @@ def _commit_next(
         pick = cell if final else (*cell, STILL.index)
     else:
         if forward is None:
-            forward = _forward_move(setup, cell, action, final)
+            forward, _ = _forward_move(setup, cell, action, final)
         pick = _pick(forward, select if final else rng)
     next_cell = pick[:2]
     next_action = None if final else pick[2]
@@ -384,8 +396,14 @@ def _extract(scenario: Scenario, draw: bool) -> Path:
             )
         return Path(((1, start, None),), False)
 
-    chain = engine.backward_flow if draw else engine.max_backward_flow
-    backward = chain(setup.kernel, setup.p_action, setup.goal, horizon)
+    if draw:
+        backward = engine.backward_flow(
+            setup.kernel, setup.p_action, setup.goal, horizon
+        )
+    else:
+        backward = engine._max_tube(
+            setup.kernel, setup.p_action, setup.goal, horizon, start
+        )
     rng = np.random.default_rng(scenario.seed)
     first_action = (
         scenario.start_action.index if scenario.start_action is not None else None
@@ -406,8 +424,9 @@ def _extract(scenario: Scenario, draw: bool) -> Path:
 def greedy_plan(scenario: Scenario) -> Path:
     """Maximum-likelihood path extraction.
 
-    Computes the max-product backward chain once (``engine.max_backward_flow``,
-    in log space so no horizon underflows), then commits slice by slice
+    Computes the max-product backward chain once (``engine._max_tube``, in
+    log space so no horizon underflows, on the cells the path can reach),
+    then commits slice by slice
     the next (cell, action) pair of a best trajectory, re-instantiating
     the forward message as a delta on each committed pair; a free initial
     action is the best first action.  Without early stopping the path

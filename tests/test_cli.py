@@ -4,7 +4,7 @@ import pytest
 
 from flowplan import GridMap, Path, validate_path
 from flowplan import scenarios
-from flowplan.cli import main
+from flowplan.cli import _build_parser, main
 from flowplan.grid import ACTION_BY_NAME
 
 
@@ -82,6 +82,33 @@ def test_plan_is_byte_identical_across_runs(capsys, empty5_file):
     assert main(["plan", empty5_file]) == 0
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_non_finite_goal_weights_exit_two(tmp_path, capsys):
+    f = tmp_path / "nan.txt"
+    f.write_text("goal_weights = nan,1\n---\nS.G\n..G\n", encoding="utf-8")
+    assert main(["plan", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "scenario error: goal weights must be finite, got nan\n"
+
+
+def test_one_process_answers_as_fresh_ones(capsys, empty5_file):
+    calls = (["warp", "x"], ["plan", empty5_file], ["mintime", empty5_file])
+
+    def run(argv):
+        code = main(argv)
+        return code, capsys.readouterr().out
+
+    fresh = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        fresh.append(run(argv))
+    # back to back on the parser the first call built
+    assert [run(argv) for argv in calls] == fresh
+    assert [code for code, _ in fresh] == [2, 0, 0]
+    assert fresh[2][1] == "5\n"
+    assert _build_parser.cache_info().misses == 1
 
 
 def test_plan_rejects_multi_agent_files(capsys, corridor_file):

@@ -189,9 +189,14 @@ def test_windowed_passes_equal_the_whole_grid_pass(shape, sharpness, seed, data)
     p = action_matrix(float(rng.choice([0.0, 0.5, 1.0])))
     flows = run_flows(kernel, p, start, goal, horizon)
     chain = backward_flow(kernel, p, goal, horizon)
-    for message in (*flows.forward, *flows.backward, *chain):
+    for message in (*flows.forward, *flows.backward, *chain, *flows.posterior):
         assert message._box is not None
         assert not _outside(message.values, message._box).any()
+    # the posterior on the boxes' intersection equals the whole-grid product
+    for f, b, q in zip(flows.forward, flows.backward, flows.posterior):
+        whole = posterior(MessageTensor(f.values, FORWARD), MessageTensor(b.values, BACKWARD))
+        assert whole._box == _grow(None, kernel)
+        assert q.values.tobytes() == whole.values.tobytes()
     # slice T-1-k of the max-product chain is the goal box grown k+1 times
     box = engine._box_of(goal > 0.0)
     for values in reversed(max_backward_flow(kernel, p, goal, horizon)):
@@ -222,6 +227,103 @@ def test_stencil_passes_run_on_the_support_window(monkeypatch):
     run_flows(kernel, p, (0, 0), goal, 10)
     # nine forward and nine backward passes, each window one cell wider
     assert sorted(shapes) == sorted([(k, k) for k in range(2, 11)] * 2)
+
+
+def _one_sided_min_time(kernel, p, start, goal, t_max, pinned):
+    """The horizon of the one-sided max-product sweep from the goal, or its
+    UnreachableError message."""
+    try:
+        return len(max_backward_chain(kernel, p, start, goal, t_max, pinned)) + 1
+    except UnreachableError as err:
+        return str(err)
+
+
+def _p_action(kind: str, rng) -> np.ndarray:
+    if kind != "general":
+        return action_matrix(float(kind))
+    # zero entries anywhere, asymmetric, and at least one per row kept
+    p = rng.random((N_ACTIONS, N_ACTIONS)) * (rng.random((N_ACTIONS, N_ACTIONS)) < 0.2)
+    p[range(N_ACTIONS), rng.integers(N_ACTIONS, size=N_ACTIONS)] += 0.5
+    return p / p.sum(axis=1, keepdims=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    SHAPES,
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["0", "0.5", "1", "general"]),
+    st.integers(0, N_ACTIONS - 1),
+    st.one_of(st.integers(2, 12), st.just(1000)),
+)
+def test_min_time_meets_the_one_sided_sweep(shape, seed, p_kind, pinned, t_max):
+    rows, cols = shape
+    rng = np.random.default_rng(seed)
+    grid = random_map(rng, rows, cols, float(rng.choice([0.0, 0.2, 0.4])))
+    free = free_cells(grid)
+    if not free:
+        return
+    kernel = build_kernel(grid, default_masks(float(rng.uniform(0.05, 0.95))))
+    p = _p_action(p_kind, rng)
+    for _ in range(4):
+        start = free[rng.integers(len(free))]
+        goals = [free[k] for k in rng.integers(len(free), size=int(rng.integers(1, 3)))]
+        goal = goal_marginal(goals, grid)
+        for heading in (None, pinned):
+            want = _one_sided_min_time(kernel, p, start, goal, t_max, heading)
+            try:
+                got = min_time(kernel, p, start, goal, t_max, start_action=heading)
+            except UnreachableError as err:
+                got = str(err)
+            assert got == want
+
+
+@pytest.mark.parametrize("t_max", [2, 3, 4, 5, 8, 1000])
+def test_min_time_past_its_cap_names_the_fixed_point_of_the_goal_side(t_max):
+    # the goal is walled in, so its support is fixed after one gather while
+    # the start's side keeps growing; the one-sided sweep reports the fixed
+    # point whenever its cap leaves room for a second gather
+    grid = GridMap.empty(1, 12).with_obstacles([(0, 10)])
+    kernel, p = build_kernel(grid), action_matrix(0.0)
+    goal = goal_marginal([(0, 11)], grid)
+    want = _one_sided_min_time(kernel, p, (0, 0), goal, t_max, None)
+    assert ("fixed point" in want) == (t_max > 2)
+    with pytest.raises(UnreachableError, match=re.escape(want)):
+        min_time(kernel, p, (0, 0), goal, t_max)
+
+
+def test_min_time_meets_in_the_middle(monkeypatch):
+    shapes = []
+    offsets = engine._offsets
+    monkeypatch.setattr(
+        engine, "_offsets", lambda n, m: shapes.append((n, m)) or offsets(n, m)
+    )
+    grid = GridMap.empty(60, 60)
+    kernel, p = build_kernel(grid), action_matrix(0.0)
+    goal = goal_marginal([(59, 59)], grid)
+    assert min_time(kernel, p, (0, 0), goal, 1000) == 60
+    assert shapes and max(max(shape) for shape in shapes) <= 32
+    # from one side alone the sweep reaches the far corner
+    shapes.clear()
+    assert len(max_backward_chain(kernel, p, (0, 0), goal, 1000)) + 1 == 60
+    assert (60, 60) in shapes
+
+
+@pytest.mark.parametrize("stiffness", [0.0, 1.0])
+def test_greedy_tube_is_exact_where_greedy_reads_it(rng, stiffness):
+    p = action_matrix(stiffness)
+    for rows, cols in ((9, 13), (1, 12), (12, 1), (16, 16)):
+        grid, start, goal_cell, d = feasible_instance(rng, rows, cols, 0.15)
+        kernel = build_kernel(grid)
+        goal = goal_marginal([goal_cell], grid)
+        for horizon in (d + 1, d + 4):
+            tube = engine._max_tube(kernel, p, goal, horizon, start)
+            flow = max_backward_flow(kernel, p, goal, horizon)
+            assert len(tube) == len(flow) == horizon - 1
+            for s, (crop, whole) in enumerate(zip(tube, flow), start=1):
+                # a path from the start is within s - 2 steps at slice s - 1
+                # and reads slice s on its 3 x 3 neighbourhood
+                cells = engine._around(start, s - 1, kernel)
+                assert crop[cells].tobytes() == whole[cells].tobytes()
 
 
 def test_caller_built_messages_run_on_the_whole_grid(empty5, monkeypatch):

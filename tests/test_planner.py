@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from flowplan import (
+    AgentSpec,
     FlowUnderflowError,
     GridMap,
     InvalidGoalError,
@@ -55,6 +56,28 @@ def test_goal_marginal_rejects_obstacle_goal():
         goal_marginal([(1, 1)], grid)
     with pytest.raises(InvalidGoalError):
         goal_marginal([((0, 0), -1.0)], grid)
+
+
+@pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+def test_non_finite_goal_weights_are_refused(weight):
+    grid = GridMap.empty(3, 5)
+    goals = [((0, 4), weight), ((2, 4), 1.0)]
+    with pytest.raises(InvalidGoalError, match="goal weights must be finite"):
+        Scenario(grid, (0, 0), goals)
+    with pytest.raises(InvalidGoalError, match="goal weights must be finite"):
+        goal_marginal(goals, grid)
+    with pytest.raises(InvalidGoalError, match="goal weights must be finite"):
+        AgentSpec(1, (0, 0), goals)
+
+
+def test_goal_weights_whose_sum_overflows_are_scaled_first():
+    grid = GridMap.empty(3, 5)
+    huge = Scenario(grid, (0, 0), [((0, 4), 1e308), ((2, 4), 1e308)])
+    assert huge.goals == (((0, 4), 0.5), ((2, 4), 0.5))
+    equal = Scenario(grid, (0, 0), [(0, 4), (2, 4)])
+    assert greedy_plan(huge).steps == greedy_plan(equal).steps
+    m = goal_marginal([((0, 4), 1.5e308), ((2, 4), 0.5e308)], grid)
+    assert (m[0, 4], m[2, 4]) == (0.75, 0.25)
 
 
 def test_greedy_walks_the_diagonal_at_minimum_time():

@@ -2,7 +2,14 @@ from __future__ import annotations
 
 import pytest
 
-from flowplan import Scenario, ScenarioParseError, WorldSpec, parse_scenario, serialize_scenario
+from flowplan import (
+    InvalidGoalError,
+    Scenario,
+    ScenarioParseError,
+    WorldSpec,
+    parse_scenario,
+    serialize_scenario,
+)
 from flowplan import scenarios
 
 
@@ -38,6 +45,18 @@ def test_fixed_horizon_and_weights():
     sc = parse_scenario(text)
     assert sc.horizon == 9
     assert sc.goals == (((0, 2), 0.2), ((1, 2), 0.8))
+
+
+def test_non_finite_goal_weights_are_refused():
+    for weights in ("nan,1", "1,inf", "-inf,1"):
+        text = f"goal_weights = {weights}\n---\nS.G\n..G\n"
+        with pytest.raises(InvalidGoalError, match="goal weights must be finite"):
+            parse_scenario(text)
+
+
+def test_goal_weights_whose_sum_overflows_parse():
+    sc = parse_scenario("goal_weights = 1e308,1e308\n---\nS.G\n..G\n")
+    assert sc.goals == (((0, 2), 0.5), ((1, 2), 0.5))
 
 
 def test_corridor_parses_into_two_agents():
