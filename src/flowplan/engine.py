@@ -365,8 +365,7 @@ def initial_forward(
     grid = kernel.grid
     values = np.zeros((grid.rows, grid.cols, N_ACTIONS))
     values[start_cell[0], start_cell[1], :] = pi
-    box = tuple(slice(k, k + 1) for k in start_cell)
-    return _boxed(MessageTensor(values, FORWARD), box)
+    return _boxed(MessageTensor(values, FORWARD), _around(start_cell, 0, kernel))
 
 
 def backward_flow(
