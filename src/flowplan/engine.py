@@ -655,7 +655,10 @@ class _LogCrop:
 
 
 def _relative(inner: Box, outer: Box) -> Box:
-    return tuple(slice(i.start - o.start, i.stop - o.start) for i, o in zip(inner, outer))
+    """``inner`` as slices of an array that holds the cells of ``outer``."""
+    return tuple(
+        slice(i.start - o.start, i.stop - o.start) for i, o in zip(inner, outer)
+    )
 
 
 def _max_tube(

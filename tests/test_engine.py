@@ -194,7 +194,9 @@ def test_windowed_passes_equal_the_whole_grid_pass(shape, sharpness, seed, data)
         assert not _outside(message.values, message._box).any()
     # the posterior on the boxes' intersection equals the whole-grid product
     for f, b, q in zip(flows.forward, flows.backward, flows.posterior):
-        whole = posterior(MessageTensor(f.values, FORWARD), MessageTensor(b.values, BACKWARD))
+        whole = posterior(
+            MessageTensor(f.values, FORWARD), MessageTensor(b.values, BACKWARD)
+        )
         assert whole._box == _grow(None, kernel)
         assert q.values.tobytes() == whole.values.tobytes()
     # slice T-1-k of the max-product chain is the goal box grown k+1 times
