@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import islice
+from itertools import count, islice
 from typing import Callable, Iterator
 
 import numpy as np
@@ -200,18 +200,16 @@ def _shift(
     return out
 
 
-def _max_gather(
-    log_values: np.ndarray, log_stencils: np.ndarray, window: Box = _WHOLE
-) -> np.ndarray:
+def _max_gather(log_values: np.ndarray, log_stencils: np.ndarray) -> np.ndarray:
     """The gather of ``_shift`` with max for sum, in log space: the best
     successor value of each (cell, action) pair, -inf where there is none.
-    It runs on ``window`` as ``_shift`` does; the terms it drops are
+    Callers pass both inputs cropped to a window, whose edges then act as
+    the grid's; on a support window the terms this drops are
     ``max(x, -inf)``."""
     out = np.full(log_stencils.shape[:3], -np.inf)
-    crop, stencils, values = out[window], log_stencils[window], log_values[window]
-    for u, v, src, dst in _offsets(*crop.shape[:2]):
-        view = crop[src]
-        np.maximum(view, stencils[src][..., u, v] + values[dst], out=view)
+    for u, v, src, dst in _offsets(*out.shape[:2]):
+        view = out[src]
+        np.maximum(view, log_stencils[src][..., u, v] + log_values[dst], out=view)
     return out
 
 
@@ -457,7 +455,9 @@ def max_backward_flow(
     if horizon < 2:
         raise ValueError("horizon must be at least 2")
     goal = _checked_goal(goal, kernel)
-    chain = list(islice(_max_sweep(kernel, p_action, goal), horizon - 1))
+    whole = _grow(None, kernel)  # the whole grid
+    sweep = islice(_max_sweep(kernel, p_action, goal), horizon - 1)
+    chain = [crop[whole] for crop in sweep]
     chain.reverse()
     return chain
 
@@ -481,7 +481,8 @@ def max_backward_chain(
     goal = _checked_start_goal(kernel, start_cell, goal, t_max)
     if goal[start_cell] > 0.0:
         return []
-    sweep = _max_sweep(kernel, p_action, goal)
+    whole = _grow(None, kernel)  # the whole grid
+    sweep = (crop[whole] for crop in _max_sweep(kernel, p_action, goal))
     chain = list(_until_start(sweep, kernel, start_cell, start_action, t_max))
     chain.reverse()
     return chain
@@ -583,16 +584,14 @@ def _support_mixers(
     """The boolean action mix, forward (a heading moved in, to the headings
     it may switch to) and backward (a heading, to those that may switch
     to it).  Without a zero entry in ``p_action`` every switch is allowed,
-    an ``any`` over actions kept as one plane; at stiffness 1 only the
-    heading itself, the identity.  Other matrices take a 9 x 9 product."""
+    an ``any`` over actions kept as one plane; other matrices take a 9 x 9
+    product."""
     allowed = np.asarray(p_action) > 0.0
     if allowed.all():
         def any_action(v):
             return v.any(axis=2, keepdims=True)
 
         return any_action, any_action
-    if (allowed == np.eye(N_ACTIONS, dtype=bool)).all():
-        return (lambda v: v), (lambda v: v)
     return (lambda v: v @ allowed), (lambda v: v @ allowed.T)
 
 
@@ -624,20 +623,6 @@ def _checked_start_goal(
     return goal
 
 
-def _max_sweep(
-    kernel: TransitionKernel, p_action: np.ndarray, goal: np.ndarray
-) -> Iterator[np.ndarray]:
-    """Log max-product backward messages, the slice before the goal first."""
-    log_stencils = _log(kernel.stencils)  # a ufunc keeps the planes contiguous
-    mix = _max_mixer(p_action)
-    values, window = _log(goal)[:, :, None], _box_of(goal > 0.0)
-    while True:
-        window = _grow(window, kernel)
-        values = _max_gather(values, log_stencils, window)
-        yield values
-        values = mix(values)
-
-
 @dataclass(frozen=True, eq=False)
 class _LogCrop:
     """A log max-product slice stored on ``box`` only, -inf elsewhere."""
@@ -661,6 +646,32 @@ def _relative(inner: Box, outer: Box) -> Box:
     )
 
 
+def _max_sweep(
+    kernel: TransitionKernel,
+    p_action: np.ndarray,
+    goal: np.ndarray,
+    clip: Callable[[int], Box] | None = None,
+) -> Iterator[_LogCrop]:
+    """Log max-product backward messages, the slice before the goal first.
+
+    The k-th slice runs on the goal's box grown k times (its support
+    window), intersected with ``clip(k)`` if given, and is stored as a crop
+    on that window.  The gather, the max and the mix are per cell, so
+    without a clip every slice is exact; a clip makes the cells within one
+    step of its edge too low.
+    """
+    log_stencils = _log(kernel.stencils)  # a ufunc keeps the planes contiguous
+    mix = _max_mixer(p_action)
+    box = _box_of(goal > 0.0)
+    values = _LogCrop(box, _log(goal[box])[:, :, None])
+    for k in count(1):
+        box = _grow(box, kernel)
+        window = box if clip is None else _intersect(box, clip(k))
+        out = _max_gather(values[window], log_stencils[window])
+        yield _LogCrop(window, out)
+        values = _LogCrop(window, mix(out))
+
+
 def _max_tube(
     kernel: TransitionKernel,
     p_action: np.ndarray,
@@ -670,27 +681,19 @@ def _max_tube(
 ) -> list[_LogCrop]:
     """``max_backward_flow`` on the tube between the start and the goal.
 
-    Slice s runs on its goal-side window intersected with the cells within
-    s steps of ``start_cell``.  Its gather reads one cell further out, so
-    the slice is exact within s - 1 steps, where a path from the start is
-    at slice s - 1 and which holds every neighbour it can move to; cells
-    nearer the tube's edge come out too low, and no exact cell reads
-    them.  The max and the mix are exact under cropping, so every exact
-    entry is bit-identical to ``max_backward_flow``.  Slices are stored as
-    crops, latest time last.
+    Slice s is clipped to the cells within s steps of ``start_cell``.  Its
+    gather reads one cell further out, so the slice is exact within s - 1
+    steps, where a path from the start is at slice s - 1 and which holds
+    every neighbour it can move to; no exact cell reads the ones nearer the
+    clip's edge.  Every exact entry is bit-identical to
+    ``max_backward_flow``.  Slices are crops, latest time last.
     """
     goal = _checked_goal(goal, kernel)
-    log_stencils = _log(kernel.stencils)
-    mix = _max_mixer(p_action)
-    box = _box_of(goal > 0.0)
-    values = _LogCrop(box, _log(goal[box])[:, :, None])
-    chain = []
-    for s in range(horizon - 1, 0, -1):
-        box = _grow(box, kernel)
-        window = _intersect(box, _around(start_cell, s, kernel))
-        out = _max_gather(values[window], log_stencils[window])
-        chain.append(_LogCrop(window, out))
-        values = _LogCrop(window, mix(out))
+
+    def clip(k: int) -> Box:  # the k-th slice of the sweep is slice horizon - k
+        return _around(start_cell, horizon - k, kernel)
+
+    chain = list(islice(_max_sweep(kernel, p_action, goal, clip), horizon - 1))
     chain.reverse()
     return chain
 
