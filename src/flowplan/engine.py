@@ -38,12 +38,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import count, islice
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .errors import DeadFlowError, InvalidGoalError, UnreachableError
-from .grid import Cell, N_ACTIONS, TransitionKernel
+from .grid import Cell, N_ACTIONS, TransitionKernel, _log
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -211,11 +211,6 @@ def _max_gather(log_values: np.ndarray, log_stencils: np.ndarray) -> np.ndarray:
         view = out[src]
         np.maximum(view, log_stencils[src][..., u, v] + log_values[dst], out=view)
     return out
-
-
-def _log(values: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return np.log(values)
 
 
 def _max_mixer(p_action: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -478,14 +473,28 @@ def max_backward_chain(
     minimum time (an empty chain when the start is on the goal), and the
     arguments and errors are those of ``min_time``.
     """
+    whole = _grow(None, kernel)  # the whole grid
+    crops = _max_chain(kernel, p_action, start_cell, goal, t_max, start_action)
+    chain = [crop[whole] for crop in crops]
+    chain.reverse()
+    return chain
+
+
+def _max_chain(
+    kernel: TransitionKernel,
+    p_action: np.ndarray,
+    start_cell: Cell,
+    goal: np.ndarray,
+    t_max: int,
+    start_action: int | None = None,
+) -> Iterable[_LogCrop]:
+    """The slices of ``max_backward_chain`` as crops, the slice before the
+    goal first (the start's slice last)."""
     goal = _checked_start_goal(kernel, start_cell, goal, t_max)
     if goal[start_cell] > 0.0:
         return []
-    whole = _grow(None, kernel)  # the whole grid
-    sweep = (crop[whole] for crop in _max_sweep(kernel, p_action, goal))
-    chain = list(_until_start(sweep, kernel, start_cell, start_action, t_max))
-    chain.reverse()
-    return chain
+    sweep = _max_sweep(kernel, p_action, goal)
+    return _until_start(sweep, kernel, start_cell, start_action, t_max)
 
 
 def min_time(
@@ -660,7 +669,7 @@ def _max_sweep(
     without a clip every slice is exact; a clip makes the cells within one
     step of its edge too low.
     """
-    log_stencils = _log(kernel.stencils)  # a ufunc keeps the planes contiguous
+    log_stencils = kernel.log_stencils
     mix = _max_mixer(p_action)
     box = _box_of(goal > 0.0)
     values = _LogCrop(box, _log(goal[box])[:, :, None])
@@ -699,33 +708,43 @@ def _max_tube(
 
 
 def _until_start(
-    sweep: Iterator[np.ndarray],
+    sweep: Iterator[_LogCrop],
     kernel: TransitionKernel,
     start_cell: Cell,
     start_action: int | None,
     t_max: int,
-) -> Iterator[np.ndarray]:
-    """Slices of a log backward sweep up to the first finite at the start.
+) -> Iterator[_LogCrop]:
+    """Crops of an unclipped log backward sweep up to the first finite at
+    the start.
 
     Raises UnreachableError once the horizon would pass ``t_max`` or the
-    finite support stops changing without touching the start.
+    finite support stops changing without touching the start.  Each crop's
+    window holds the one before it, so the previous support, padded into
+    the new window, is compared with the new one: the same sets the
+    whole-grid slices would compare.
     """
     # any backward support needs at most one sweep of the joint space
     hard_cap = kernel.grid.rows * kernel.grid.cols * N_ACTIONS + 1
     previous = None
-    for gathers, values in enumerate(sweep, start=1):
-        sup = np.isfinite(values)
-        if previous is not None and np.array_equal(sup, previous):
-            raise UnreachableError(
-                f"backward support reached a fixed point without touching "
-                f"{start_cell}"
-            )
-        yield values
-        row = sup[start_cell]
-        if row.any() if start_action is None else row[start_action]:
-            return
+    for gathers, crop in enumerate(sweep, start=1):
+        sup = np.isfinite(crop.values)
+        if previous is not None:
+            padded = np.zeros_like(sup)
+            padded[_relative(previous[0], crop.box)] = previous[1]
+            if np.array_equal(sup, padded):
+                raise UnreachableError(
+                    f"backward support reached a fixed point without touching "
+                    f"{start_cell}"
+                )
+        yield crop
+        i, j = start_cell
+        rows, cols = crop.box
+        if rows.start <= i < rows.stop and cols.start <= j < cols.stop:
+            row = sup[i - rows.start, j - cols.start]
+            if row.any() if start_action is None else row[start_action]:
+                return
         if gathers + 1 >= t_max or gathers > hard_cap:
             raise UnreachableError(
                 f"no backward mass at {start_cell} within horizon {t_max}"
             )
-        previous = sup
+        previous = crop.box, sup

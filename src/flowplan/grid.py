@@ -68,13 +68,16 @@ class GridMap:
     def __post_init__(self):
         if self.rows <= 0 or self.cols <= 0:
             raise ValueError("grid dimensions must be positive")
-        mask = np.asarray(self.mask, dtype=np.uint8)
-        if mask.shape != (self.rows, self.cols):
+        raw = np.asarray(self.mask)
+        if raw.shape != (self.rows, self.cols):
             raise ValueError(
-                f"mask shape {mask.shape} != ({self.rows}, {self.cols})"
+                f"mask shape {raw.shape} != ({self.rows}, {self.cols})"
             )
-        if not np.isin(mask, (0, 1)).all():
+        # checked before the cast, which would wrap 256 to 0 and 0.5 or nan
+        # to free cells
+        if not ((raw == 0) | (raw == 1)).all():
             raise ValueError("mask cells must be 0 or 1")
+        mask = np.asarray(raw, dtype=np.uint8)
         mask.flags.writeable = False
         object.__setattr__(self, "mask", mask)
 
@@ -194,20 +197,32 @@ class TransitionKernel:
         support.flags.writeable = False
         return support
 
+    @cached_property
+    def log_stencils(self) -> np.ndarray:
+        """``log(stencils)``, -inf on the zero entries, computed once, in the
+        same offset-major layout (a ufunc keeps it); ``patch_kernel`` patches
+        it along with the stencils."""
+        log = _log(self.stencils)
+        log.flags.writeable = False
+        return log
+
 
 def _stack_masks(masks: Mapping[Action, np.ndarray]) -> np.ndarray:
-    """The base masks as one (3, 3, N_ACTIONS) array."""
-    stacked = np.zeros((3, 3, N_ACTIONS))
-    for action in ACTIONS:
-        m = np.asarray(masks[action], dtype=float)
+    """The base masks as one (3, 3, N_ACTIONS) array, checked action by
+    action in order."""
+    arrays = [np.asarray(masks[action], dtype=float) for action in ACTIONS]
+    for action, m in zip(ACTIONS, arrays):
         if m.shape != (3, 3):
             raise ValueError(f"mask for {action.name} is not 3x3")
-        if (m < 0).any():
+    flat = np.stack(arrays).reshape(N_ACTIONS, 9)  # one contiguous row each
+    negative = (flat < 0).any(axis=1)
+    off = np.abs(flat.sum(axis=1) - 1.0) > _SUM_TOL
+    for action in ACTIONS:
+        if negative[action.index]:
             raise ValueError(f"mask for {action.name} has negative weights")
-        if abs(m.sum() - 1.0) > _SUM_TOL:
+        if off[action.index]:
             raise ValueError(f"mask for {action.name} does not sum to 1")
-        stacked[:, :, action.index] = m
-    return stacked
+    return flat.T.reshape(3, 3, N_ACTIONS)
 
 
 def build_kernel(
@@ -222,23 +237,98 @@ def build_kernel(
     """
     if masks is None:
         masks = default_masks()
-    stacked = _stack_masks(masks)
-
-    n, m = grid.rows, grid.cols
-    padded = np.zeros((n + 2, m + 2), dtype=bool)
-    padded[1:-1, 1:-1] = grid.free
     # valid[u, v, i, j]: the target of offset (u, v) from (i, j) is free
-    valid = np.lib.stride_tricks.sliding_window_view(padded, (n, m))
-    planes = np.multiply(stacked[:, :, None, None], valid[..., None], order="C")
+    valid = np.lib.stride_tricks.sliding_window_view(
+        _padded(grid.free), (grid.rows, grid.cols)
+    )
+    planes = _censor(_stack_masks(masks), valid, grid.free)
+    planes.flags.writeable = False
+    return TransitionKernel(grid, planes.transpose(2, 3, 4, 0, 1))
+
+
+def patch_kernel(
+    base: TransitionKernel, grid: GridMap, masks: Mapping[Action, np.ndarray]
+) -> TransitionKernel:
+    """``build_kernel(grid, masks)``, given ``base = build_kernel(base.grid,
+    masks)`` on a grid of the same shape.
+
+    A cell's stencils depend only on whether it and its eight neighbours
+    are free, so only the cells within one step of a cell whose mask
+    changed are recomputed, all in one call to the expression
+    ``build_kernel`` runs; the rest, and their cached log, are copied from
+    ``base``.  The result is bit-identical to a rebuild, and so is the
+    error: every cell ``base`` kept is still fine, and the recomputed ones
+    are checked in row-major order.
+    """
+    if (grid.rows, grid.cols) != (base.grid.rows, base.grid.cols):
+        raise ValueError("a kernel can only be patched for a grid of its shape")
+    padded = _padded(grid.free)
+    # cells within one step of a changed cell, in padded coordinates first
+    i, j = np.nonzero(grid.mask != base.grid.mask)
+    near = np.zeros_like(padded)
+    near[i[:, None, None] + _DU, j[:, None, None] + _DV] = True
+    rows, cols = np.nonzero(near[1:-1, 1:-1])  # row-major, as build_kernel checks
+    fresh = _censor(
+        _stack_masks(masks),
+        padded[rows + _DU[..., None], cols + _DV[..., None]],
+        grid.free[rows, cols],
+        np.stack((rows, cols), axis=1),
+    )
+    kernel = TransitionKernel(grid, _patched(base.stencils, rows, cols, fresh))
+    log = _patched(base.log_stencils, rows, cols, _log(fresh))
+    object.__setattr__(kernel, "log_stencils", log)
+    return kernel
+
+
+def _patched(
+    stencils: np.ndarray, rows: np.ndarray, cols: np.ndarray, fresh: np.ndarray
+) -> np.ndarray:
+    """A read-only copy of ``stencils`` with cells (rows, cols) replaced by
+    ``fresh``, an offset-major (3, 3, cells, N_ACTIONS) array."""
+    planes = stencils.transpose(3, 4, 0, 1, 2).copy()
+    planes[:, :, rows, cols] = fresh
+    planes.flags.writeable = False
+    return planes.transpose(2, 3, 4, 0, 1)
+
+
+#: offset (u, v) of each stencil entry; entry (u, v) of cell (i, j) lands on
+#: cell (i + u - 1, j + v - 1), which is (i + u, j + v) of ``_padded``
+_DU, _DV = np.indices((3, 3))
+
+
+def _padded(free: np.ndarray) -> np.ndarray:
+    """``free`` inside a one-cell border of non-free cells."""
+    padded = np.zeros((free.shape[0] + 2, free.shape[1] + 2), dtype=bool)
+    padded[1:-1, 1:-1] = free
+    return padded
+
+
+def _censor(
+    stacked: np.ndarray,
+    valid: np.ndarray,
+    free: np.ndarray,
+    cells: np.ndarray | None = None,
+) -> np.ndarray:
+    """The censored, renormalized stencils of some cells, offset-major.
+
+    ``valid`` is (3, 3, *shape) and ``free`` is ``shape``: the whole grid,
+    or a list of cells whose (row, col) are the rows of ``cells``.  Every
+    step is per cell, so a cell gets the same bits in either form.
+    Returns a C-contiguous (3, 3, *shape, N_ACTIONS) array and raises
+    KernelDegenerateError for the first free cell, in order, that keeps no
+    mass for some action.
+    """
+    lead = (3, 3) + (1,) * free.ndim + (N_ACTIONS,)
+    planes = np.multiply(stacked.reshape(lead), valid[..., None], order="C")
     # numpy's pairwise order for one contiguous 3x3 stencil (a tree of eight,
     # then the ninth), so each row sum is bit-for-bit its stencil's own sum
-    p = planes.reshape(9, n, m, N_ACTIONS)
+    p = planes.reshape((9,) + free.shape + (N_ACTIONS,))
     sums = ((p[0] + p[1]) + (p[2] + p[3])) + ((p[4] + p[5]) + (p[6] + p[7])) + p[8]
 
-    free = grid.free
-    dead = (sums == 0.0) & free[:, :, None]
+    dead = (sums == 0.0) & free[..., None]
     if dead.any():
-        i, j, a = np.argwhere(dead)[0]
+        *where, a = np.argwhere(dead)[0]
+        i, j = where if cells is None else cells[where[0]]
         raise KernelDegenerateError(
             f"free cell ({i}, {j}) has no remaining transition mass for "
             f"action '{ACTIONS[a].name}'"
@@ -246,5 +336,9 @@ def build_kernel(
 
     planes /= np.where(sums > 0.0, sums, 1.0)
     planes[:, :, ~free] = 0.0
-    planes.flags.writeable = False
-    return TransitionKernel(grid, planes.transpose(2, 3, 4, 0, 1))
+    return planes
+
+
+def _log(values: np.ndarray) -> np.ndarray:
+    with np.errstate(divide="ignore"):
+        return np.log(values)

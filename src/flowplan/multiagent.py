@@ -10,6 +10,7 @@ default: emit a still action and try again next round.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -21,9 +22,11 @@ from .grid import (
     Cell,
     GridMap,
     STILL,
+    TransitionKernel,
     action_matrix,
     build_kernel,
     default_masks,
+    patch_kernel,
 )
 from .planner import (
     POLICY_ABORT,
@@ -123,13 +126,36 @@ def _goal_cells(spec: AgentSpec, others: Mapping[int, AgentSnapshot]):
     return pairs
 
 
+class _StaticKernels:
+    """The static map's kernel per sharpness, built once and shared by the
+    runners of an episode; every agent-round patches it for its dynamic
+    map.  A different grid starts over."""
+
+    def __init__(self):
+        self.grid: GridMap | None = None
+        self.kernels: dict[float, TransitionKernel] = {}
+
+    def patched(
+        self, grid: GridMap, dyn: GridMap, sharpness: float, masks
+    ) -> TransitionKernel:
+        """``build_kernel(dyn, masks)``, where ``masks`` are the default
+        masks of ``sharpness`` and ``dyn`` is ``grid`` plus agents."""
+        if grid is not self.grid:
+            self.grid, self.kernels = grid, {}
+        base = self.kernels.get(sharpness)
+        if base is None:
+            base = self.kernels[sharpness] = build_kernel(grid, masks)
+        return patch_kernel(base, dyn, masks)
+
+
 class _AgentRunner:
     """Replans one agent per round; caches its masks and action matrix."""
 
-    def __init__(self, spec: AgentSpec):
+    def __init__(self, spec: AgentSpec, kernels: _StaticKernels):
         self.spec = spec
         self.masks = default_masks(spec.sharpness)
         self.p_action = action_matrix(spec.stiffness)
+        self.kernels = kernels
 
     def plan_step(
         self,
@@ -144,7 +170,10 @@ class _AgentRunner:
         The flow is re-instantiated at the agent's current (cell, heading)
         joint delta; a heading of None (before the first move) leaves the
         initial action free.  One max-product sweep from the goal gives
-        both the minimum horizon and the chain the step is decoded with.
+        both the minimum horizon and the chain the step is decoded with;
+        the step reads only its slice 2, so only the last two crops are
+        kept.  The kernel is the shared static one, patched around the
+        other agents.
         The executed action is the stored heading, backfilled from the
         committed move when the heading was free.
         Falls back to a still step (or a forward sample, per policy)
@@ -168,24 +197,28 @@ class _AgentRunner:
         if goal[me.cell] > 0.0:
             return me.cell, STILL.index, None, True
 
-        kernel = build_kernel(dyn, self.masks)
+        kernel = self.kernels.patched(grid, dyn, spec.sharpness, self.masks)
+        horizon, backward = 1, deque(maxlen=2)  # slices 1 and 2
         try:
-            backward = engine.max_backward_chain(
+            for crop in engine._max_chain(
                 kernel,
                 self.p_action,
                 me.cell,
                 goal,
                 max(remaining, 2),
                 start_action=me.action,
-            )
+            ):
+                horizon += 1
+                backward.appendleft(crop)
         except UnreachableError:
             return self._blocked(me)
-        if len(backward) + 1 > remaining:
+        if horizon > remaining:
             return self._blocked(me)
 
         setup = PlanSetup(kernel, self.p_action, goal, None)
         executed, cell, heading, fell_back = _commit_next(
-            setup, backward, 2, me.cell, me.action, spec.policy, rng, draw=False
+            setup, backward, horizon, 2, me.cell, me.action, spec.policy, rng,
+            draw=False,
         )
         if fell_back:
             if spec.policy == POLICY_WAIT:
@@ -205,6 +238,12 @@ class _AgentRunner:
         return me.cell, STILL.index, STILL.index, False
 
 
+def _runners(specs: Sequence[AgentSpec]) -> dict[int, _AgentRunner]:
+    """One runner per agent, all sharing one set of static kernels."""
+    kernels = _StaticKernels()
+    return {s.agent_id: _AgentRunner(s, kernels) for s in specs}
+
+
 def step_world(
     grid: GridMap,
     state: WorldState,
@@ -222,7 +261,7 @@ def step_world(
     the moves of earlier ones.
     """
     if runners is None:
-        runners = {s.agent_id: _AgentRunner(s) for s in specs}
+        runners = _runners(specs)
     snapshots = state.by_id()
     remaining = t_max - state.time + 1
     for aid in order:
@@ -276,7 +315,7 @@ def simulate(
             raise ValueError(f"agent {s.agent_id} starts on an obstacle")
 
     rng = np.random.default_rng(seed)
-    runners = {s.agent_id: _AgentRunner(s) for s in specs}
+    runners = _runners(specs)
 
     snapshots = {}
     for s in specs:

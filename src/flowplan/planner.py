@@ -75,7 +75,13 @@ def _normalized_goals(goals: GoalSpec) -> tuple[tuple[Cell, float], ...]:
         top = max(w for _, w in pairs)
         pairs = [(cell, w / top) for cell, w in pairs]
         total = sum(w for _, w in pairs)
-    return tuple((cell, w / total) for cell, w in pairs)
+    pairs = [(cell, w / total) for cell, w in pairs]
+    for cell, w in pairs:
+        if w == 0.0:
+            raise InvalidGoalError(
+                f"goal weight of {cell} underflows to 0 against the total"
+            )
+    return tuple(pairs)
 
 
 def _check_sharpness(sharpness: float) -> None:
@@ -277,6 +283,7 @@ def _reachable(setup: PlanSetup, cell: Cell, action: int | None, slices: int) ->
 def _commit_next(
     setup: PlanSetup,
     backward: Sequence[MessageTensor] | Sequence[np.ndarray],
+    horizon: int,
     t: int,
     cell: Cell,
     action: int | None,
@@ -284,7 +291,9 @@ def _commit_next(
     rng: np.random.Generator,
     draw: bool,
 ) -> tuple[int, Cell, int | None, bool]:
-    """Commit slice ``t`` of a plan whose slice t-1 is at (cell, action).
+    """Commit slice ``t`` of a ``horizon``-slice plan whose slice t-1 is at
+    (cell, action); ``backward`` holds slices 1 .. t of its chain at
+    least.
 
     The forward message restarts as that joint delta (``action = None``
     leaves the heading uniform).  With ``draw`` set it meets ``backward``,
@@ -306,7 +315,6 @@ def _commit_next(
     (action, next_cell, next_action, fell_back); the final slice's
     next_action is None.
     """
-    horizon = len(backward) + 1
     final = t == horizon
     select = rng if draw else None
     # a greedy free heading scores from the stencils alone
@@ -412,7 +420,7 @@ def _extract(scenario: Scenario, draw: bool) -> Path:
     for t in range(2, horizon + 1):
         _, cur, action = steps[-1]
         action, cell, next_action, _ = _commit_next(
-            setup, backward, t, cur, action, scenario.policy, rng, draw
+            setup, backward, horizon, t, cur, action, scenario.policy, rng, draw
         )
         steps[-1] = (t - 1, cur, action)
         steps.append((t, cell, next_action))

@@ -93,6 +93,17 @@ def test_non_finite_goal_weights_exit_two(tmp_path, capsys):
     assert captured.err == "scenario error: goal weights must be finite, got nan\n"
 
 
+def test_underflowing_goal_weights_exit_two(tmp_path, capsys):
+    f = tmp_path / "tiny.txt"
+    f.write_text("goal_weights = 1e308,1e-300\n---\nS.G\n..G\n", encoding="utf-8")
+    assert main(["plan", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "scenario error: goal weight of (1, 2) underflows to 0 against the total\n"
+    )
+
+
 def test_one_process_answers_as_fresh_ones(capsys, empty5_file):
     calls = (["warp", "x"], ["plan", empty5_file], ["mintime", empty5_file])
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -16,8 +17,11 @@ from flowplan import (
     action_matrix,
     build_kernel,
     default_masks,
+    dynamic_map,
 )
-from flowplan.grid import ACTION_BY_NAME, N_ACTIONS
+from flowplan.engine import _log
+from flowplan.grid import ACTION_BY_NAME, N_ACTIONS, patch_kernel
+from flowplan.multiagent import AgentSnapshot
 
 from conftest import random_map
 
@@ -219,8 +223,88 @@ def test_stencils_are_read_only_offset_major_planes(rng, sharpness):
 
 def test_degenerate_stencil_raises():
     # sharpness 1 leaves no residue: "up" from the top row loses everything
-    with pytest.raises(KernelDegenerateError):
+    message = "free cell ({}) has no remaining transition mass for action 'up'"
+    with pytest.raises(KernelDegenerateError, match=re.escape(message.format("0, 0"))):
         build_kernel(GridMap.empty(3, 3), default_masks(1.0))
+    walled = GridMap.empty(3, 4).with_obstacles([(0, 0)])
+    with pytest.raises(KernelDegenerateError, match=re.escape(message.format("0, 1"))):
+        build_kernel(walled, default_masks(1.0))
+
+
+def _vertical_masks() -> dict:
+    # every move splits between the cells above and below, so a free cell
+    # keeps no mass once both are blocked
+    split = np.zeros((3, 3))
+    split[0, 1] = split[2, 1] = 0.5
+    still = np.zeros((3, 3))
+    still[1, 1] = 1.0
+    return {a: still if a == STILL else split for a in ACTIONS}
+
+
+@st.composite
+def _patch_cases(draw):
+    kind = draw(st.integers(0, 2))  # a third are 1 x N, a third N x 1
+    n = draw(st.integers(1, 9))
+    rows, cols = (1, n) if kind == 0 else (n, 1) if kind == 1 else (
+        draw(st.integers(2, 8)), draw(st.integers(2, 8))
+    )
+    mask = np.array(
+        draw(st.lists(st.booleans(), min_size=rows * cols, max_size=rows * cols)),
+        dtype=np.uint8,
+    ).reshape(rows, cols)
+    mask[draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))] = 0
+    free = [tuple(int(v) for v in c) for c in np.argwhere(mask == 0)]
+    cells = draw(st.lists(st.sampled_from(free), min_size=1, max_size=8, unique=True))
+    snapshots = [
+        AgentSnapshot(k + 1, cell, None, draw(st.booleans()))
+        for k, cell in enumerate(cells)
+    ]
+    ids = [s.agent_id for s in snapshots]
+    transparent = tuple(draw(st.lists(st.sampled_from(ids), max_size=3, unique=True)))
+    return (
+        GridMap.from_mask(mask),
+        snapshots,
+        draw(st.sampled_from(ids)),
+        draw(st.booleans()),
+        transparent,
+        draw(st.one_of(st.floats(0.05, 0.95), st.just("vertical"))),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_patch_cases())
+def test_patched_kernel_is_a_rebuild_byte_for_byte(case):
+    # on small maps agents often sit on the border, next to walls and next
+    # to each other
+    grid, snapshots, me, include_arrived, transparent, sharpness = case
+    masks = _vertical_masks() if sharpness == "vertical" else default_masks(sharpness)
+    try:
+        base = build_kernel(grid, masks)
+    except KernelDegenerateError:
+        return  # only the vertical masks starve a cell of a static map
+    dyn = dynamic_map(grid, snapshots, me, include_arrived, transparent)
+    try:
+        rebuilt = build_kernel(dyn, masks)
+    except KernelDegenerateError as err:
+        with pytest.raises(KernelDegenerateError, match=re.escape(str(err))):
+            patch_kernel(base, dyn, masks)
+        return
+    patched = patch_kernel(base, dyn, masks)
+    assert patched.grid is dyn
+    for got, want in (
+        (patched.stencils, rebuilt.stencils),
+        (patched.log_stencils, _log(rebuilt.stencils)),
+    ):
+        # offset-major, read-only, and the same bits
+        assert got.transpose(3, 4, 0, 1, 2).flags.c_contiguous
+        assert not got.flags.writeable
+        assert got.tobytes() == want.tobytes()
+
+
+def test_patch_kernel_refuses_another_shape():
+    base = build_kernel(GridMap.empty(3, 4))
+    with pytest.raises(ValueError, match="of its shape"):
+        patch_kernel(base, GridMap.empty(4, 3), default_masks())
 
 
 def test_gridmap_validation():
@@ -230,6 +314,10 @@ def test_gridmap_validation():
         GridMap(2, 2, np.full((2, 2), 2))
     with pytest.raises(ValueError):
         GridMap(0, 2, np.zeros((0, 2)))
+    # values the uint8 cast would wrap or truncate to a free cell
+    for raw in ([[256, 0]], [[0.5, 1.0]], [[math.nan, 0]]):
+        with pytest.raises(ValueError, match="mask cells must be 0 or 1"):
+            GridMap.from_mask(np.array(raw))
 
 
 def test_gridmap_equality_and_immutability():

@@ -6,6 +6,7 @@ import pytest
 from flowplan import (
     AgentSpec,
     GridMap,
+    InvalidGoalError,
     STILL,
     Scenario,
     UnreachableError,
@@ -18,7 +19,9 @@ from flowplan import (
     simulate,
     validate_path,
 )
+from flowplan import engine, multiagent
 from flowplan.multiagent import AgentSnapshot
+from flowplan.planner import PlanSetup, _commit_next
 from flowplan.scenario_io import parse_scenario
 from flowplan import scenarios
 
@@ -244,3 +247,84 @@ def test_sample_policy_agents_move_randomly_when_blocked():
     assert_no_co_occupancy(result, ws.grid)
     assert not result.timed_out
     assert all(p.reached_goal for p in result.paths.values())
+
+
+def _rebuilding_plan_step(self, grid, snapshots, remaining, rng, arrived_vanish=False):
+    """The runner's step as a reference: a fresh kernel of the dynamic map
+    and the whole-grid ``max_backward_chain``, every round."""
+    spec = self.spec
+    me = snapshots[spec.agent_id]
+    try:
+        dyn = dynamic_map(
+            grid, snapshots, spec.agent_id,
+            include_arrived=not arrived_vanish, transparent=spec.chase,
+        )
+        goal = goal_marginal(multiagent._goal_cells(spec, snapshots), dyn)
+    except InvalidGoalError:
+        return self._blocked(me)
+    if goal[me.cell] > 0.0:
+        return me.cell, STILL.index, None, True
+    kernel = build_kernel(dyn, self.masks)
+    try:
+        backward = engine.max_backward_chain(
+            kernel, self.p_action, me.cell, goal, max(remaining, 2), me.action
+        )
+    except UnreachableError:
+        return self._blocked(me)
+    horizon = len(backward) + 1
+    if horizon > remaining:
+        return self._blocked(me)
+    setup = PlanSetup(kernel, self.p_action, goal, None)
+    executed, cell, heading, fell_back = _commit_next(
+        setup, backward, horizon, 2, me.cell, me.action, spec.policy, rng, False
+    )
+    if fell_back:
+        if spec.policy == "wait":
+            return self._blocked(me)
+        return cell, executed, heading, False
+    if cell in {snapshots[t].cell for t in spec.chase}:
+        return me.cell, STILL.index, me.action, True
+    return cell, executed, heading, goal[cell] > 0.0
+
+
+def _crowd_like(seed: int, n_agents: int):
+    """A walled 24 x 24 map with a few doors, half the agents crossing it
+    left to right and half right to left."""
+    rng = np.random.default_rng(seed)
+    mask = np.zeros((24, 24), dtype=np.uint8)
+    mask[:, 11] = 1
+    for lo, hi in ((2, 7), (9, 15), (17, 22)):
+        row = int(rng.integers(lo, hi))
+        mask[row : row + int(rng.integers(1, 3)), 11] = 0
+    specs = []
+    for lane, (start_col, goal_col) in enumerate(((1, 20), (22, 3))):
+        count = (n_agents + 1 - lane) // 2
+        starts = np.sort(rng.choice(24, count, replace=False))
+        goals = np.sort(rng.choice(24, count, replace=False))
+        for r0, r1 in zip(starts, goals):
+            specs.append(
+                AgentSpec(
+                    len(specs) + 1,
+                    (int(r0), start_col),
+                    [(int(r1), goal_col)],
+                    sharpness=float(rng.choice([0.7, 0.8])),
+                    stiffness=float(rng.choice([0.0, 0.3])),
+                    policy=str(rng.choice(["wait", "sample"])),
+                )
+            )
+    return GridMap.from_mask(mask), specs
+
+
+@pytest.mark.parametrize(
+    "seed, n_agents, schedule, vanish",
+    [(1, 8, "fixed", False), (2, 10, "random", True), (3, 12, "fixed", True),
+     (4, 9, "random", False)],
+)
+def test_simulate_matches_a_runner_that_rebuilds_its_kernel(
+    monkeypatch, seed, n_agents, schedule, vanish
+):
+    grid, specs = _crowd_like(seed, n_agents)
+    got = simulate(specs, grid, 150, schedule, seed, vanish)
+    monkeypatch.setattr(multiagent._AgentRunner, "plan_step", _rebuilding_plan_step)
+    want = simulate(specs, grid, 150, schedule, seed, vanish)
+    assert got == want

@@ -70,6 +70,19 @@ def test_non_finite_goal_weights_are_refused(weight):
         AgentSpec(1, (0, 0), goals)
 
 
+def test_goal_weights_that_underflow_against_the_total_are_refused():
+    grid = GridMap.empty(3, 5)
+    goals = [((0, 4), 1e308), ((2, 4), 1e-300)]
+    match = r"goal weight of \(2, 4\) underflows to 0"
+    with pytest.raises(InvalidGoalError, match=match):
+        Scenario(grid, (0, 0), goals)
+    with pytest.raises(InvalidGoalError, match=match):
+        AgentSpec(1, (0, 0), goals)
+    # a ratio that stays a positive subnormal is kept
+    tiny = Scenario(grid, (0, 0), [((0, 4), 1e308), ((2, 4), 1e-5)])
+    assert 0.0 < tiny.goals[1][1] < 1e-300
+
+
 def test_goal_weights_whose_sum_overflows_are_scaled_first():
     grid = GridMap.empty(3, 5)
     huge = Scenario(grid, (0, 0), [((0, 4), 1e308), ((2, 4), 1e308)])

@@ -54,6 +54,12 @@ def test_non_finite_goal_weights_are_refused():
             parse_scenario(text)
 
 
+def test_goal_weights_that_underflow_are_refused():
+    text = "goal_weights = 1e308,1e-300\n---\nS.G\n..G\n"
+    with pytest.raises(InvalidGoalError, match=r"goal weight of \(1, 2\) underflows"):
+        parse_scenario(text)
+
+
 def test_goal_weights_whose_sum_overflows_parse():
     sc = parse_scenario("goal_weights = 1e308,1e308\n---\nS.G\n..G\n")
     assert sc.goals == (((0, 2), 0.5), ((1, 2), 0.5))
