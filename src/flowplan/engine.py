@@ -725,6 +725,7 @@ def _until_start(
     """
     # any backward support needs at most one sweep of the joint space
     hard_cap = kernel.grid.rows * kernel.grid.cols * N_ACTIONS + 1
+    i, j = start_cell
     previous = None
     for gathers, crop in enumerate(sweep, start=1):
         sup = np.isfinite(crop.values)
@@ -737,7 +738,6 @@ def _until_start(
                     f"{start_cell}"
                 )
         yield crop
-        i, j = start_cell
         rows, cols = crop.box
         if rows.start <= i < rows.stop and cols.start <= j < cols.stop:
             row = sup[i - rows.start, j - cols.start]

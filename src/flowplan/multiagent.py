@@ -5,7 +5,10 @@ obstacles (and optionally some other agents as goals).  Agents act one at
 a time inside a round; a move is visible to everyone scheduled after it,
 which rules out collisions by construction.  When an agent's replanned
 flow is infeasible it falls back to its policy, which is "wait" by
-default: emit a still action and try again next round.
+default: emit a still action and try again next round.  The runners of
+an episode share the static map's kernel, and each agent-round patches
+it around the other agents (``grid.patch_kernel``) instead of building
+one.
 """
 
 from __future__ import annotations
@@ -136,7 +139,7 @@ class _StaticKernels:
         self.kernels: dict[float, TransitionKernel] = {}
 
     def patched(
-        self, grid: GridMap, dyn: GridMap, sharpness: float, masks
+        self, grid: GridMap, dyn: GridMap, sharpness: float, masks: Mapping
     ) -> TransitionKernel:
         """``build_kernel(dyn, masks)``, where ``masks`` are the default
         masks of ``sharpness`` and ``dyn`` is ``grid`` plus agents."""
