@@ -150,10 +150,7 @@ def _cmd_sample(args) -> int:
 
 
 def _world_frame(world, ws: scenario_io.WorldSpec) -> str:
-    rows = [
-        ["#" if ws.grid.mask[i, j] else "." for j in range(ws.grid.cols)]
-        for i in range(ws.grid.rows)
-    ]
+    rows = scenario_io._grid_chars(ws.grid)
     for spec in ws.agents:
         for cell, _ in spec.goals:
             rows[cell[0]][cell[1]] = chr(ord("a") + spec.agent_id - 1)

@@ -14,16 +14,23 @@ which is what a decoder of the single most likely path needs (the
 Viterbi recursion).  It is kept in log space, so it cannot underflow at
 any horizon, and -inf marks exactly the pairs that cannot reach the goal.
 
-Every sweep spreads one 3 x 3 stencil per slice from a seed: the start
-cell for the forward flow, the bounding box of the goal's support for
-the backward ones.  A message the engine makes carries the bounding box
-of its support, and each stencil pass runs only on its input's box grown
-by one cell and clipped to the grid (the support window), which becomes
-the whole grid once it reaches every edge.  Cells outside the window
-would only receive +0.0 (or ``max(x, -inf)``), and normalizing sums still
-run over the full arrays, so every result is bit-identical to a
-whole-grid pass.  A tensor built by a caller has no box and is treated as
-whole-grid.
+Every pass is one 3 x 3 stencil loop (``_shift``) over a semiring, in
+the sense of Aji and McEliece's generalized distributive law: (0, +, x)
+for the sum-product messages, the same on bools (OR, AND) for the support
+``min_time`` propagates, and (-inf, max, +) on logs for the max-product
+chain.  Every sweep spreads the stencil per slice from a seed: the start
+cell for the forward flow, the bounding box of the goal's support for the
+backward ones.  Each pass runs only on its input's box grown by one cell
+and clipped to the grid (the support window), which becomes the whole
+grid once it reaches every edge.  Cells outside the window would only
+receive the semiring's zero, and normalizing sums still run over the full
+arrays, so every result is bit-identical to a whole-grid pass.
+
+Sum-product messages are whole-grid arrays that carry the box of their
+support; a tensor built by a caller has no box and is treated as
+whole-grid.  The boolean sweeps and the max-product chain run through one
+generator (``_sweep``) that keeps each slice as a crop on its window
+(``_Crop``), the semiring's zero elsewhere.
 
 Both ends are used where only reachability or one path matters.
 ``min_time`` grows boolean support from the start and from the goal,
@@ -53,6 +60,12 @@ _OFFSETS = (-1, 0, 1)
 
 Box = tuple[slice, slice]  # (rows, cols) slices of the grid
 _WHOLE: Box = (slice(None), slice(None))
+
+# (zero, add, multiply); on bools the sum-product is OR and AND
+_Semiring = tuple[float, Callable, Callable]
+_Mix = Callable[[np.ndarray], np.ndarray]  # a per-cell mix over actions
+_SUM: _Semiring = (0.0, np.add, np.multiply)
+_MAX: _Semiring = (-np.inf, np.maximum, np.add)  # max-product on logs
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,23 +115,22 @@ class FlowSet:
 
 
 @lru_cache(maxsize=256)
-def _axis_offsets(n: int) -> tuple:
-    # per offset d: a source range and the same range shifted by d, in [0, n)
-    return tuple(
-        (slice(max(0, -d), n - max(0, d)), slice(max(0, d), n + min(0, d)))
-        for d in _OFFSETS
-    )
-
-
-def _offsets(n: int, m: int) -> Iterator[tuple]:
+def _offsets(n: int, m: int) -> tuple:
     """(u, v, source, target) for the 9 stencil offsets on an n x m window;
     source and target are (rows, cols) slice pairs shifted by the offset.
-    Only the three slice pairs per axis length are cached, so windows of
-    every shape share a few small tables."""
-    cols = _axis_offsets(m)
-    for u, (rs, rd) in enumerate(_axis_offsets(n)):
-        for v, (cs, cd) in enumerate(cols):
-            yield u, v, (rs, cs), (rd, cd)
+    Cached per window shape: every pass on that shape reads the same table."""
+    # per axis length k and offset d: a source range and the same range
+    # shifted by d, both in [0, k)
+    rows, cols = (
+        [(slice(max(0, -d), k - max(0, d)), slice(max(0, d), k + min(0, d)))
+         for d in _OFFSETS]
+        for k in (n, m)
+    )
+    return tuple(
+        (u, v, (rs, cs), (rd, cd))
+        for u, (rs, rd) in enumerate(rows)
+        for v, (cs, cd) in enumerate(cols)
+    )
 
 
 def _box_of(mask: np.ndarray) -> Box:
@@ -128,33 +140,34 @@ def _box_of(mask: np.ndarray) -> Box:
     return slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)
 
 
-def _grow(box: Box | None, kernel: TransitionKernel) -> Box:
-    """The support window of a pass on a message supported in ``box``:
-    the box grown by one cell on every side, clipped to the grid."""
+def _grow(box: Box | None, kernel: TransitionKernel, radius: int = 1) -> Box:
+    """``box`` grown by ``radius`` cells on every side and clipped to the
+    grid (None is the whole grid).  With radius 1 this is the support
+    window of a pass on a message supported in ``box``."""
     n, m = kernel.grid.rows, kernel.grid.cols
     rows, cols = box or (slice(0, n), slice(0, m))
     return (
-        slice(max(rows.start - 1, 0), min(rows.stop + 1, n)),
-        slice(max(cols.start - 1, 0), min(cols.stop + 1, m)),
+        slice(max(rows.start - radius, 0), min(rows.stop + radius, n)),
+        slice(max(cols.start - radius, 0), min(cols.stop + radius, m)),
     )
 
 
 def _around(cell: Cell, radius: int, kernel: TransitionKernel) -> Box:
     """The cells within ``radius`` steps of ``cell``, clipped to the grid."""
-    n, m = kernel.grid.rows, kernel.grid.cols
-    return (
-        slice(max(cell[0] - radius, 0), min(cell[0] + radius + 1, n)),
-        slice(max(cell[1] - radius, 0), min(cell[1] + radius + 1, m)),
-    )
+    i, j = cell
+    return _grow((slice(i, i + 1), slice(j, j + 1)), kernel, radius)
 
 
 def _intersect(a: Box, b: Box) -> Box:
     """The cells in both boxes; a slice of length zero where there are none."""
-    out = []
-    for x, y in zip(a, b):
-        lo = max(x.start, y.start)
-        out.append(slice(lo, max(lo, min(x.stop, y.stop))))
-    return tuple(out)
+    return _overlap(a[0], b[0]), _overlap(a[1], b[1])
+
+
+def _overlap(x: slice, y: slice) -> slice:
+    # conditional expressions, which run about twice as fast as max and min
+    lo = x.start if x.start > y.start else y.start
+    hi = x.stop if x.stop < y.stop else y.stop
+    return slice(lo, hi if hi > lo else lo)
 
 
 def _area(box: Box) -> int:
@@ -167,7 +180,11 @@ def _boxed(message: MessageTensor, box: Box) -> MessageTensor:
 
 
 def _shift(
-    values: np.ndarray, stencils: np.ndarray, gather: bool, window: Box = _WHOLE
+    values: np.ndarray,
+    stencils: np.ndarray,
+    gather: bool,
+    window: Box = _WHOLE,
+    semiring: _Semiring = _SUM,
 ) -> np.ndarray:
     """Move mass one step along every stencil entry.
 
@@ -180,40 +197,32 @@ def _shift(
     (see ``grid.TransitionKernel``), so ``stencils[..., u, v]`` is one
     contiguous plane and each offset's pass reads it in order.
 
+    ``semiring`` says what mass is and how it moves.  ``_SUM`` moves
+    probability, and on ``bool`` stencils and values, which give ``out``
+    its dtype, it propagates support (``TransitionKernel.support``).
+    ``_MAX`` on log stencils and values (``TransitionKernel.log_stencils``)
+    keeps each pair's best successor instead of the sum, -inf where there
+    is none.
+
     The pass runs on ``window`` only, the support window of ``values``
     (see ``_grow``): ``out``, ``stencils`` and ``values`` are cropped to
     it and the window's edges act as the grid's.  Every term this drops
-    is a zero value times a finite weight, so the result is bit-identical
-    to the whole-grid pass, and zero outside the window.
-
-    ``out`` takes the inputs' result dtype: on ``bool`` stencils and
-    values ``*`` is AND and ``+=`` is OR, so the same loop propagates
-    support (``TransitionKernel.support``).
+    is the semiring's zero, so the result is bit-identical to the
+    whole-grid pass, and the zero outside the window.
     """
-    out = np.zeros(stencils.shape[:3], dtype=np.result_type(stencils, values))
+    zero, add, multiply = semiring
+    out = np.zeros(stencils.shape[:3], np.result_type(stencils, values))
+    if zero:
+        out.fill(zero)
     crop, stencils, values = out[window], stencils[window], values[window]
     for u, v, src, dst in _offsets(*stencils.shape[:2]):
-        if gather:
-            crop[src] += stencils[src][..., u, v] * values[dst]
-        else:
-            crop[dst] += stencils[src][..., u, v] * values[src]
+        into, source = (src, dst) if gather else (dst, src)
+        view = crop[into]
+        add(view, multiply(stencils[src][..., u, v], values[source]), out=view)
     return out
 
 
-def _max_gather(log_values: np.ndarray, log_stencils: np.ndarray) -> np.ndarray:
-    """The gather of ``_shift`` with max for sum, in log space: the best
-    successor value of each (cell, action) pair, -inf where there is none.
-    Callers pass both inputs cropped to a window, whose edges then act as
-    the grid's; on a support window the terms this drops are
-    ``max(x, -inf)``."""
-    out = np.full(log_stencils.shape[:3], -np.inf)
-    for u, v, src, dst in _offsets(*out.shape[:2]):
-        view = out[src]
-        np.maximum(view, log_stencils[src][..., u, v] + log_values[dst], out=view)
-    return out
-
-
-def _max_mixer(p_action: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+def _max_mixer(p_action: np.ndarray) -> _Mix:
     """The max-product action mix: log of max over b of P[a, b] m(b), per a.
 
     For ``grid.action_matrix``'s form (equal diagonal entries at least as
@@ -373,8 +382,7 @@ def backward_flow(
     chain = [backward_terminal(goal, kernel)]
     for _ in range(horizon - 2):
         chain.append(backward_step(chain[-1], kernel, p_action))
-    chain.reverse()
-    return chain
+    return chain[::-1]
 
 
 def run_flows(
@@ -452,9 +460,7 @@ def max_backward_flow(
     goal = _checked_goal(goal, kernel)
     whole = _grow(None, kernel)  # the whole grid
     sweep = islice(_max_sweep(kernel, p_action, goal), horizon - 1)
-    chain = [crop[whole] for crop in sweep]
-    chain.reverse()
-    return chain
+    return [crop[whole] for crop in sweep][::-1]
 
 
 def max_backward_chain(
@@ -475,9 +481,7 @@ def max_backward_chain(
     """
     whole = _grow(None, kernel)  # the whole grid
     crops = _max_chain(kernel, p_action, start_cell, goal, t_max, start_action)
-    chain = [crop[whole] for crop in crops]
-    chain.reverse()
-    return chain
+    return [crop[whole] for crop in crops][::-1]
 
 
 def _max_chain(
@@ -487,7 +491,7 @@ def _max_chain(
     goal: np.ndarray,
     t_max: int,
     start_action: int | None = None,
-) -> Iterable[_LogCrop]:
+) -> Iterable[_Crop]:
     """The slices of ``max_backward_chain`` as crops, the slice before the
     goal first (the start's slice last)."""
     goal = _checked_start_goal(kernel, start_cell, goal, t_max)
@@ -520,76 +524,42 @@ def min_time(
     side has the smaller window, and a path of i + j moves exists exactly
     when F_i and B_j share a pair.  Each side runs only on its window and
     the meeting is tested on the intersection of the two.  The stopping
-    rules are those of a one-sided sweep of B from the goal: it raises at
-    the first B_j equal to B_(j-1), a fixed point that never touched the
-    start, and after the last gather ``t_max`` allows.
+    rules are those of a one-sided sweep of B from the goal
+    (``_until_start``): it raises at the first B_j equal to B_(j-1), a
+    fixed point that never touched the start, and after the last gather
+    ``t_max`` allows.
     """
     goal = _checked_start_goal(kernel, start_cell, goal, t_max)
     if goal[start_cell] > 0.0:
         return 1
-    grid = kernel.grid
-    # the most gathers a one-sided sweep makes; any backward support
-    # repeats within one sweep of the joint space
-    cap = min(t_max - 1, grid.rows * grid.cols * N_ACTIONS + 2)
     mix_forward, mix_backward = _support_mixers(p_action)
-    support = kernel.support
-
-    def forward_side() -> Iterator[tuple[Box, np.ndarray]]:
-        # F_0, F_1, ...: pairs at the end of i moves, headings mixed;
-        # stops after the first F_i equal to F_(i-1), which repeats forever
-        depth = N_ACTIONS if start_action is not None else 1
-        sup = np.zeros((grid.rows, grid.cols, depth), dtype=bool)
-        sup[start_cell + ((start_action or 0),)] = True
-        box = _around(start_cell, 0, kernel)
-        yield box, sup
-        while True:
-            box = _grow(box, kernel)
-            moved = _shift(sup, support, False, box)
-            previous, sup = sup, _mixed_on(mix_forward, moved, box)
-            yield box, sup
-            if np.array_equal(sup[box], previous[box]):
-                return
-
-    def backward_side() -> Iterator[tuple[Box, np.ndarray]]:
-        # B_1, B_2, ...: pairs that end on the goal after exactly j moves
-        sup, box = (goal > 0.0)[:, :, None], _box_of(goal > 0.0)
-        previous = None
-        for _ in range(cap):
-            box = _grow(box, kernel)
-            gathered = _shift(sup, support, True, box)
-            if previous is not None and np.array_equal(
-                gathered[box], previous[box]
-            ):
-                raise UnreachableError(
-                    f"backward support reached a fixed point without touching "
-                    f"{start_cell}"
-                )
-            yield box, gathered
-            previous, sup = gathered, _mixed_on(mix_backward, gathered, box)
-        raise UnreachableError(
-            f"no backward mass at {start_cell} within horizon {t_max}"
-        )
-
-    forward, backward = forward_side(), backward_side()
-    (f_box, f), (b_box, b) = next(forward), next(backward)
-    moves = 1
-    while not _meets(f, f_box, b, b_box):
-        if moves == cap:
-            # no path within the cap: B alone decides which error it is
+    f = _start_pairs(kernel, start_cell, start_action)  # F_0
+    forward = _sweep(kernel, f, kernel.support, False, _SUM, mix_forward)
+    box = _box_of(goal > 0.0)
+    seed = _Crop(box, (goal[box] > 0.0)[:, :, None], False)
+    backward = _until_start(
+        _sweep(kernel, seed, kernel.support, True, _SUM, mix_backward),
+        kernel, start_cell, start_action, t_max,
+    )
+    b, moves = next(backward), 1
+    while not _meets(f, b):
+        if moves == t_max - 1:
+            # no path within t_max: B alone decides which error it is
             for _ in backward:
                 pass
         moves += 1
-        step = next(forward, None) if _area(f_box) < _area(b_box) else None
-        if step is None:
-            b_box, b = next(backward)
+        if forward is not None and _area(f.box) < _area(b.box):
+            # the sweep yields each move's pairs before the heading mix
+            previous, moved = f, next(forward)
+            f = _Crop(moved.box, mix_forward(moved.values), False)
+            if _repeats(previous, f):
+                forward = None  # F repeats from here on
         else:
-            f_box, f = step
+            b = next(backward)
     return moves + 1
 
 
-def _support_mixers(
-    p_action: np.ndarray,
-) -> tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]:
+def _support_mixers(p_action: np.ndarray) -> tuple[_Mix, _Mix]:
     """The boolean action mix, forward (a heading moved in, to the headings
     it may switch to) and backward (a heading, to those that may switch
     to it).  Without a zero entry in ``p_action`` every switch is allowed,
@@ -597,28 +567,22 @@ def _support_mixers(
     product."""
     allowed = np.asarray(p_action) > 0.0
     if allowed.all():
-        def any_action(v):
-            return v.any(axis=2, keepdims=True)
-
-        return any_action, any_action
+        return (lambda v: v.any(axis=2, keepdims=True),) * 2  # both ways
     return (lambda v: v @ allowed), (lambda v: v @ allowed.T)
 
 
-def _mixed_on(
-    mix: Callable[[np.ndarray], np.ndarray], values: np.ndarray, window: Box
-) -> np.ndarray:
-    """``mix`` applied on ``window`` only, zero outside: exact for a
-    per-cell mix of values that are zero outside ``window``."""
-    crop = mix(values[window])
-    out = np.zeros(values.shape[:2] + crop.shape[2:], dtype=crop.dtype)
-    out[window] = crop
-    return out
+def _meets(f: _Crop, b: _Crop) -> bool:
+    """Whether support crops ``f`` and ``b`` share a pair."""
+    both = _intersect(f.box, b.box)
+    return _area(both) > 0 and bool((f[both] & b[both]).any())
 
 
-def _meets(f: np.ndarray, f_box: Box, b: np.ndarray, b_box: Box) -> bool:
-    """Whether supports ``f`` and ``b``, zero outside their boxes, share a pair."""
-    both = _intersect(f_box, b_box)
-    return bool((f[both] & b[both]).any())
+def _start_pairs(kernel: TransitionKernel, cell: Cell, action: int | None) -> _Crop:
+    """The (cell, action) pairs a path may start on, as a support crop: the
+    pinned action, or all nine kept as one plane."""
+    pairs = np.zeros((1, 1, N_ACTIONS if action is not None else 1), bool)
+    pairs[0, 0, action or 0] = True
+    return _Crop(_around(cell, 0, kernel), pairs, False)
 
 
 def _checked_start_goal(
@@ -632,27 +596,72 @@ def _checked_start_goal(
     return goal
 
 
-@dataclass(frozen=True, eq=False)
-class _LogCrop:
-    """A log max-product slice stored on ``box`` only, -inf elsewhere."""
+@dataclass(eq=False, slots=True)
+class _Crop:
+    """A slice of a sweep stored on ``box`` only, ``zero`` elsewhere."""
 
     box: Box
     values: np.ndarray  # (box rows, box cols, depth)
+    zero: float
 
     def __getitem__(self, cells: Box) -> np.ndarray:
-        """The slice on ``cells``, a box with explicit bounds."""
-        rows, cols = (s.stop - s.start for s in cells)
-        out = np.full((rows, cols, self.values.shape[2]), -np.inf)
-        both = _intersect(cells, self.box)
-        out[_relative(both, cells)] = self.values[_relative(both, self.box)]
+        """The slice on ``cells``, a box with explicit bounds; a view of
+        the stored values where ``cells`` lies inside ``box``."""
+        box = self.box
+        both = _intersect(cells, box)
+        inner = self.values if both == box else self.values[_relative(both, box)]
+        if both == cells:
+            return inner
+        rows, cols = cells
+        shape = (rows.stop - rows.start, cols.stop - cols.start, self.values.shape[2])
+        out = np.empty(shape, self.values.dtype)
+        out.fill(self.zero)
+        out[_relative(both, cells)] = inner
         return out
 
 
 def _relative(inner: Box, outer: Box) -> Box:
     """``inner`` as slices of an array that holds the cells of ``outer``."""
-    return tuple(
-        slice(i.start - o.start, i.stop - o.start) for i, o in zip(inner, outer)
+    (rows, cols), i, j = inner, outer[0].start, outer[1].start
+    return slice(rows.start - i, rows.stop - i), slice(cols.start - j, cols.stop - j)
+
+
+def _repeats(previous: _Crop | None, sup: _Crop) -> bool:
+    """Whether the boolean crop ``sup`` holds the pairs of ``previous``, a
+    crop on a box inside its own, and no others."""
+    return (
+        previous is not None
+        and np.count_nonzero(sup.values) == np.count_nonzero(previous.values)
+        and np.array_equal(sup[previous.box], previous.values)
     )
+
+
+def _sweep(
+    kernel: TransitionKernel,
+    seed: _Crop,
+    stencils: np.ndarray,
+    gather: bool,
+    semiring: _Semiring,
+    mix: _Mix,
+    clip: Callable[[int], Box] | None = None,
+) -> Iterator[_Crop]:
+    """Passes of ``_shift`` from ``seed``, each yielded as a crop.
+
+    Pass k runs on the support window of its input (the seed's box or the
+    previous window, grown by ``_grow``), intersected with ``clip(k)`` if
+    given; its result, mixed over actions by ``mix``, is the next pass's
+    input.  The pass and the mix are per cell, so without a clip every crop
+    is exact; a clip makes the cells within one step of its edge too low.
+    """
+    zero = semiring[0]
+    crop = seed
+    for k in count(1):
+        window = _grow(crop.box, kernel)
+        if clip is not None:
+            window = _intersect(window, clip(k))
+        out = _shift(crop[window], stencils[window], gather, semiring=semiring)
+        yield _Crop(window, out, zero)
+        crop = _Crop(window, mix(out), zero)
 
 
 def _max_sweep(
@@ -660,25 +669,14 @@ def _max_sweep(
     p_action: np.ndarray,
     goal: np.ndarray,
     clip: Callable[[int], Box] | None = None,
-) -> Iterator[_LogCrop]:
-    """Log max-product backward messages, the slice before the goal first.
-
-    The k-th slice runs on the goal's box grown k times (its support
-    window), intersected with ``clip(k)`` if given, and is stored as a crop
-    on that window.  The gather, the max and the mix are per cell, so
-    without a clip every slice is exact; a clip makes the cells within one
-    step of its edge too low.
-    """
-    log_stencils = kernel.log_stencils
-    mix = _max_mixer(p_action)
+) -> Iterator[_Crop]:
+    """Log max-product backward messages, the slice before the goal first:
+    the ``_sweep`` of the gather on log stencils from the goal's box, so
+    that without a clip the k-th slice is on that box grown k times."""
     box = _box_of(goal > 0.0)
-    values = _LogCrop(box, _log(goal[box])[:, :, None])
-    for k in count(1):
-        box = _grow(box, kernel)
-        window = box if clip is None else _intersect(box, clip(k))
-        out = _max_gather(values[window], log_stencils[window])
-        yield _LogCrop(window, out)
-        values = _LogCrop(window, mix(out))
+    seed = _Crop(box, _log(goal[box])[:, :, None], -np.inf)
+    mix = _max_mixer(p_action)
+    return _sweep(kernel, seed, kernel.log_stencils, True, _MAX, mix, clip)
 
 
 def _max_tube(
@@ -687,7 +685,7 @@ def _max_tube(
     goal: np.ndarray,
     horizon: int,
     start_cell: Cell,
-) -> list[_LogCrop]:
+) -> list[_Crop]:
     """``max_backward_flow`` on the tube between the start and the goal.
 
     Slice s is clipped to the cells within s steps of ``start_cell``.  Its
@@ -702,49 +700,40 @@ def _max_tube(
     def clip(k: int) -> Box:  # the k-th slice of the sweep is slice horizon - k
         return _around(start_cell, horizon - k, kernel)
 
-    chain = list(islice(_max_sweep(kernel, p_action, goal, clip), horizon - 1))
-    chain.reverse()
-    return chain
+    return list(islice(_max_sweep(kernel, p_action, goal, clip), horizon - 1))[::-1]
 
 
 def _until_start(
-    sweep: Iterator[_LogCrop],
+    sweep: Iterator[_Crop],
     kernel: TransitionKernel,
     start_cell: Cell,
     start_action: int | None,
     t_max: int,
-) -> Iterator[_LogCrop]:
-    """Crops of an unclipped log backward sweep up to the first finite at
-    the start.
+) -> Iterator[_Crop]:
+    """Crops of an unclipped backward sweep up to the first whose support,
+    its entries other than the semiring's zero, meets the start pairs.
 
     Raises UnreachableError once the horizon would pass ``t_max`` or the
-    finite support stops changing without touching the start.  Each crop's
-    window holds the one before it, so the previous support, padded into
-    the new window, is compared with the new one: the same sets the
-    whole-grid slices would compare.
+    support stops changing without touching the start.  Each crop's window
+    holds the one before it, so comparing the supports on the crops
+    compares the same sets the whole-grid slices would (``_repeats``).
     """
     # any backward support needs at most one sweep of the joint space
     hard_cap = kernel.grid.rows * kernel.grid.cols * N_ACTIONS + 1
-    i, j = start_cell
+    start = _start_pairs(kernel, start_cell, start_action)
     previous = None
     for gathers, crop in enumerate(sweep, start=1):
-        sup = np.isfinite(crop.values)
-        if previous is not None:
-            padded = np.zeros_like(sup)
-            padded[_relative(previous[0], crop.box)] = previous[1]
-            if np.array_equal(sup, padded):
-                raise UnreachableError(
-                    f"backward support reached a fixed point without touching "
-                    f"{start_cell}"
-                )
+        sup = _Crop(crop.box, crop.values != crop.zero, False)
+        if _repeats(previous, sup):
+            raise UnreachableError(
+                f"backward support reached a fixed point without touching "
+                f"{start_cell}"
+            )
         yield crop
-        rows, cols = crop.box
-        if rows.start <= i < rows.stop and cols.start <= j < cols.stop:
-            row = sup[i - rows.start, j - cols.start]
-            if row.any() if start_action is None else row[start_action]:
-                return
+        if _meets(start, sup):
+            return
         if gathers + 1 >= t_max or gathers > hard_cap:
             raise UnreachableError(
                 f"no backward mass at {start_cell} within horizon {t_max}"
             )
-        previous = crop.box, sup
+        previous = sup

@@ -77,7 +77,8 @@ class GridMap:
         # to free cells
         if not ((raw == 0) | (raw == 1)).all():
             raise ValueError("mask cells must be 0 or 1")
-        mask = np.asarray(raw, dtype=np.uint8)
+        # a copy, so that freezing it leaves the caller's array writable
+        mask = np.array(raw, dtype=np.uint8)
         mask.flags.writeable = False
         object.__setattr__(self, "mask", mask)
 

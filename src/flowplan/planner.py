@@ -243,19 +243,6 @@ def _pick(values: np.ndarray, rng: np.random.Generator | None) -> tuple[int, ...
     return tuple(int(x) for x in np.unravel_index(k, values.shape))
 
 
-def _window(grid: GridMap, cell: Cell) -> tuple[tuple[slice, ...], tuple[slice, ...]]:
-    """The 3x3 neighbourhood of ``cell`` clipped to the grid, as (rows,
-    cols) slices of the grid and the same cells as (u, v) stencil slices."""
-    r0, r1 = max(cell[0] - 1, 0), min(cell[0] + 2, grid.rows)
-    c0, c1 = max(cell[1] - 1, 0), min(cell[1] + 2, grid.cols)
-    on_grid = (slice(r0, r1), slice(c0, c1))
-    on_stencil = (
-        slice(r0 - cell[0] + 1, r1 - cell[0] + 1),
-        slice(c0 - cell[1] + 1, c1 - cell[1] + 1),
-    )
-    return on_grid, on_stencil
-
-
 def _forward_move(
     setup: PlanSetup, cell: Cell, action: int | None, final: bool
 ) -> tuple[np.ndarray, MessageTensor | None]:
@@ -333,8 +320,11 @@ def _commit_next(
             score = engine.posterior(message, backward[t - 1]).values
         fell_back = not score.any()
     else:
-        # only the neighbourhood of ``cell`` is reachable in one move
-        on_grid, on_stencil = _window(setup.kernel.grid, cell)
+        # only the neighbourhood of ``cell`` is reachable in one move: its
+        # cells on the grid, and the same cells as (u, v) stencil slices
+        on_grid = engine._around(cell, 1, setup.kernel)
+        stencil_box = (slice(cell[0] - 1, cell[0] + 2), slice(cell[1] - 1, cell[1] + 2))
+        on_stencil = engine._relative(on_grid, stencil_box)
         if action is None:
             # best first action per (move, next action); its uniform
             # weight is the same for every a and is left out

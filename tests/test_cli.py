@@ -193,6 +193,7 @@ def test_simulate_writes_trace_and_agent_csv(tmp_path, capsys, corridor_file):
         validate_path(path, ws_grid)
     first_frame = (out / "trace_t001.txt").read_text(encoding="utf-8")
     assert "1" in first_frame and "2" in first_frame and "a" in first_frame
+    assert first_frame == "#######\n#1...2#\n###.###\n#b...a#\n#######\n"
 
 
 def test_simulate_rejects_single_agent_files(capsys, empty5_file):

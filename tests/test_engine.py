@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import re
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -31,8 +32,9 @@ from flowplan.engine import (
     BACKWARD,
     FORWARD,
     _grow,
+    _MAX,
+    _SUM,
     _log,
-    _max_gather,
     _shift,
     backward_flow,
     max_backward_chain,
@@ -168,18 +170,34 @@ def test_windowed_passes_equal_the_whole_grid_pass(shape, sharpness, seed, data)
     x = np.zeros((rows, cols, N_ACTIONS))
     x[box] = rng.random(x[box].shape) * (rng.random(x[box].shape) < 0.7)
     window = _grow(box, kernel)
-    stencils = kernel.stencils
+    stencils, support = kernel.stencils, kernel.support
     for values in (x, x.sum(axis=2, keepdims=True)):  # pairs, then cells only
         for gather in (False, True):
             if values.shape[2] == 1 and not gather:
                 continue
-            windowed = _shift(values, stencils, gather, window)
-            assert windowed.tobytes() == _shift(values, stencils, gather).tobytes()
+            for v, s in ((values, stencils), (values > 0.0, support)):
+                windowed = _shift(v, s, gather, window)
+                assert windowed.tobytes() == _shift(v, s, gather).tobytes()
     log_stencils = _log(stencils)
-    whole = _max_gather(_log(x), log_stencils)
-    windowed = np.full_like(whole, -np.inf)
-    windowed[window] = _max_gather(_log(x)[window], log_stencils[window])
+    whole = _shift(_log(x), log_stencils, True, semiring=_MAX)
+    windowed = _shift(_log(x), log_stencils, True, window, semiring=_MAX)
     assert windowed.tobytes() == whole.tobytes()
+    # every crop of a sweep, expanded with its fill, is the whole-grid pass
+    kind = data.draw(st.sampled_from(["0", "0.5", "1", "general"]))
+    p_sweep = _p_action(kind, np.random.default_rng([seed, 1]))
+    mix_forward, mix_backward = engine._support_mixers(p_sweep)
+    for seed_values, s, gather, semiring, mix in (
+        (x > 0.0, support, False, _SUM, mix_forward),
+        (x > 0.0, support, True, _SUM, mix_backward),
+        (_log(x), log_stencils, True, _MAX, engine._max_mixer(p_sweep)),
+    ):
+        start = engine._Crop(box, seed_values[box], semiring[0])
+        sweep = engine._sweep(kernel, start, s, gather, semiring, mix)
+        values = seed_values
+        for crop in islice(sweep, 4):
+            values = _shift(values, s, gather, semiring=semiring)
+            assert crop[_grow(None, kernel)].tobytes() == values.tobytes()
+            values = mix(values)
 
     free = free_cells(grid)
     if not free:
@@ -309,6 +327,24 @@ def test_min_time_meets_in_the_middle(monkeypatch):
     shapes.clear()
     assert len(max_backward_chain(kernel, p, (0, 0), goal, 1000)) + 1 == 60
     assert (60, 60) in shapes
+
+
+def test_min_time_stops_the_side_of_a_walled_in_start(monkeypatch):
+    # F repeats after one move; B sweeps the map to its fixed point, about
+    # 40 passes, where a forward side that kept going would spin to the
+    # 40 * 40 * 9 move cap
+    shapes = []
+    offsets = engine._offsets
+    monkeypatch.setattr(
+        engine, "_offsets", lambda n, m: shapes.append((n, m)) or offsets(n, m)
+    )
+    walls = [(20 + i, 20 + j) for i in (-1, 0, 1) for j in (-1, 0, 1) if i or j]
+    grid = GridMap.empty(40, 40).with_obstacles(walls)
+    kernel, p = build_kernel(grid), action_matrix(0.0)
+    goal = goal_marginal([(20, 0)], grid)
+    with pytest.raises(UnreachableError, match="fixed point"):
+        min_time(kernel, p, (20, 20), goal, 10**9)
+    assert len(shapes) <= 45  # the search makes 42
 
 
 @pytest.mark.parametrize("stiffness", [0.0, 1.0])

@@ -38,6 +38,14 @@ def test_action_alphabet_order():
     assert ACTION_BY_NAME["down-left"].displacement == (1, -1)
 
 
+def test_grid_map_copies_the_callers_mask():
+    a = np.zeros((2, 2), np.uint8)
+    grid = GridMap.from_mask(a)
+    a[0, 0] = 1  # the caller's array stays writable
+    assert not grid.mask.flags.writeable
+    assert grid.mask[0, 0] == 0 and grid.is_free((0, 0))
+
+
 def test_default_masks_up_values():
     masks = default_masks(0.8)
     up = masks[ACTION_BY_NAME["up"]]
