@@ -140,6 +140,8 @@ def _cmd_flows(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    if args.n < 1:
+        raise ValueError(f"--n must be at least 1, got {args.n}")
     scenario = _require_single(_load(args))
     base_seed = scenario.seed
     for k in range(args.n):

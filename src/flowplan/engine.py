@@ -332,9 +332,16 @@ def _checked_goal(goal: np.ndarray, kernel: TransitionKernel) -> np.ndarray:
     grid = kernel.grid
     if goal.shape != (grid.rows, grid.cols):
         raise ValueError("goal marginal shape does not match the grid")
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = goal.sum()
+    if not abs(total) < np.inf:
+        if not np.isfinite(goal).all():
+            raise ValueError("goal marginal has non-finite mass")
+        # finite entries whose sum overflows: scale by the largest first
+        goal = goal / goal.max()
+        total = goal.sum()
     if (goal < 0).any():
         raise ValueError("goal marginal has negative mass")
-    total = goal.sum()
     if total == 0.0:
         raise InvalidGoalError("goal marginal carries no mass")
     if (goal[~grid.free] > 0).any():
@@ -352,9 +359,11 @@ def _checked_start(
     pi = np.asarray(start_actions, dtype=float)
     if pi.shape != (N_ACTIONS,):
         raise ValueError("initial action distribution must have 9 entries")
-    if (pi < 0).any() or pi.sum() == 0.0:
-        raise ValueError("initial action distribution must be a distribution")
-    return pi / pi.sum()
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = pi.sum()
+    if (pi < 0).any() or not 0.0 < total < np.inf:
+        raise ValueError("initial actions must be a distribution with a finite total")
+    return pi / total
 
 
 def initial_forward(
@@ -549,9 +558,7 @@ def min_time(
                 pass
         moves += 1
         if forward is not None and _area(f.box) < _area(b.box):
-            # the sweep yields each move's pairs before the heading mix
-            previous, moved = f, next(forward)
-            f = _Crop(moved.box, mix_forward(moved.values), False)
+            previous, f = f, next(forward)
             if _repeats(previous, f):
                 forward = None  # F repeats from here on
         else:
@@ -645,13 +652,16 @@ def _sweep(
     mix: _Mix,
     clip: Callable[[int], Box] | None = None,
 ) -> Iterator[_Crop]:
-    """Passes of ``_shift`` from ``seed``, each yielded as a crop.
+    """Passes of ``_shift`` from ``seed``, one message per pass as a crop.
 
     Pass k runs on the support window of its input (the seed's box or the
     previous window, grown by ``_grow``), intersected with ``clip(k)`` if
     given; its result, mixed over actions by ``mix``, is the next pass's
-    input.  The pass and the mix are per cell, so without a clip every crop
-    is exact; a clip makes the cells within one step of its edge too low.
+    input.  A gather yields the pass before its mix, as a backward message
+    is the gather of the mixed one after it; a scatter yields the mixed
+    input, as a forward message is the move mixed to the next heading.  The
+    pass and the mix are per cell, so without a clip every crop is exact; a
+    clip makes the cells within one step of its edge too low.
     """
     zero = semiring[0]
     crop = seed
@@ -660,8 +670,11 @@ def _sweep(
         if clip is not None:
             window = _intersect(window, clip(k))
         out = _shift(crop[window], stencils[window], gather, semiring=semiring)
-        yield _Crop(window, out, zero)
+        if gather:
+            yield _Crop(window, out, zero)
         crop = _Crop(window, mix(out), zero)
+        if not gather:
+            yield crop
 
 
 def _max_sweep(

@@ -8,8 +8,8 @@ every next pair by that delta's move times the best continuation, and
 commits the argmax.  This is the Viterbi decoder, so the committed path
 is a single most likely trajectory, not a sequence of marginal argmaxes.
 ``sample_path`` runs the same loop on the sum-product backward flow and
-draws from the posterior instead, which turns the planner into a
-generator of plausible paths.
+draws from the posterior instead, on the same 3 x 3 neighbourhood, which
+turns the planner into a generator of plausible paths.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import engine
-from .engine import MessageTensor
+from .engine import Box
 from .errors import FlowUnderflowError, InvalidGoalError, NoFeasiblePathError
 from .grid import (
     Action,
@@ -244,17 +244,16 @@ def _pick(values: np.ndarray, rng: np.random.Generator | None) -> tuple[int, ...
 
 
 def _forward_move(
-    setup: PlanSetup, cell: Cell, action: int | None, final: bool
-) -> tuple[np.ndarray, MessageTensor | None]:
+    setup: PlanSetup, cell: Cell, action: int | None, final: bool, cells: Box
+) -> np.ndarray:
     """The forward values one move after the (cell, action) delta (a free
-    heading is uniform): cells at the final slice, else pairs, with their
-    boxed message."""
+    heading is uniform) on ``cells``, a box that holds every cell the move
+    can reach: cells at the final slice, else pairs."""
     pi = None if action is None else np.eye(N_ACTIONS)[action]
     f = engine.initial_forward(setup.kernel, cell, pi)
     if final:
-        return engine.forward_final(f, setup.kernel), None
-    message = engine.forward_step(f, setup.kernel, setup.p_action)
-    return message.values, message
+        return engine.forward_final(f, setup.kernel)[cells]
+    return engine.forward_step(f, setup.kernel, setup.p_action).values[cells]
 
 
 def _reachable(setup: PlanSetup, cell: Cell, action: int | None, slices: int) -> bool:
@@ -269,7 +268,7 @@ def _reachable(setup: PlanSetup, cell: Cell, action: int | None, slices: int) ->
 
 def _commit_next(
     setup: PlanSetup,
-    backward: Sequence[MessageTensor] | Sequence[np.ndarray],
+    backward: Sequence[np.ndarray],
     horizon: int,
     t: int,
     cell: Cell,
@@ -280,72 +279,55 @@ def _commit_next(
 ) -> tuple[int, Cell, int | None, bool]:
     """Commit slice ``t`` of a ``horizon``-slice plan whose slice t-1 is at
     (cell, action); ``backward`` holds slices 1 .. t of its chain at
-    least.
+    least, each an array or crop read as ``backward[t - 1][cells]``.
 
     The forward message restarts as that joint delta (``action = None``
-    leaves the heading uniform).  With ``draw`` set it meets ``backward``,
-    the sum-product chain from ``engine.backward_flow``, and the pair is
-    drawn from that posterior.  Otherwise ``backward`` is the log chain
-    from ``engine.max_backward_flow``, or any chain whose slice t is exact
-    on the neighbourhood of ``cell`` (the tube of ``engine._max_tube``),
-    and the commitment is the argmax of
-    the forward delta's best move times the best continuation, so the
-    committed path is a maximum-likelihood one (a free heading takes the
-    best first action).  At the final slice the goal marginal takes the
-    chain's place.  A vanished score falls back per ``policy``: abort
-    raises, wait stays on ``cell`` (still), sample draws the pair from the
-    forward message (the final cell as the score would be picked).  Abort
-    raises ``FlowUnderflowError`` when a drawn posterior vanished although
-    the goal is reachable in time from (cell, action), and
-    ``NoFeasiblePathError`` otherwise.  A
-    free ``action`` is backfilled from the committed move.  Returns
-    (action, next_cell, next_action, fell_back); the final slice's
-    next_action is None.
+    leaves the heading uniform).  After one move it is nonzero only on the
+    3 x 3 neighbourhood of ``cell``, so both modes score those cells and
+    no others: the delta's move there meets slice t of the chain, or the
+    goal marginal at the final slice.  With ``draw`` set the chain is the
+    sum-product one from ``engine.backward_flow``, and the pair is drawn
+    in proportion to move times chain, the posterior up to its scale.
+    Otherwise the chain is the log one from ``engine.max_backward_flow``,
+    or any chain whose slice t is exact on the neighbourhood (the tube of
+    ``engine._max_tube``), and the commitment is the argmax of the log
+    move plus the best continuation, so the committed path is a
+    maximum-likelihood one (a free heading takes the best first action).
+    A vanished score falls back per ``policy``: abort raises, wait stays
+    on ``cell`` (still), sample draws the pair from the forward move (the
+    final cell as the score would be picked).  Abort raises
+    ``FlowUnderflowError`` when a drawn posterior vanished although the
+    goal is reachable in time from (cell, action), and
+    ``NoFeasiblePathError`` otherwise.  A free ``action`` is backfilled
+    from the committed move.  Returns (action, next_cell, next_action,
+    fell_back); the final slice's next_action is None.
     """
     final = t == horizon
     select = rng if draw else None
-    # a greedy free heading scores from the stencils alone
-    forward = message = None
+    on_grid = engine._around(cell, 1, setup.kernel)  # all one move reaches
     if draw or action is not None:
-        forward, message = _forward_move(setup, cell, action, final)
-
-    corner = (0, 0)
+        move = _forward_move(setup, cell, action, final, on_grid)
+    else:
+        # a greedy free heading scores from the stencils alone: the best
+        # first action per (move, next action), the same cells as (u, v)
+        # stencil slices; its uniform weight is the same for every a
+        stencil_box = (slice(cell[0] - 1, cell[0] + 2), slice(cell[1] - 1, cell[1] + 2))
+        move = setup.kernel.stencils[cell[0], cell[1]]
+        if not final:
+            move = move[..., None] * setup.p_action[:, None, None, :]
+        move = move.max(axis=0)[engine._relative(on_grid, stencil_box)]
+    meet = setup.goal[on_grid] if final else backward[t - 1][on_grid]
     if draw:
-        if final:
-            score = forward * setup.goal
-            total = score.sum()
-            if total > 0.0:
-                score = score / total
-        else:
-            score = engine.posterior(message, backward[t - 1]).values
+        score = move * meet
         fell_back = not score.any()
     else:
-        # only the neighbourhood of ``cell`` is reachable in one move: its
-        # cells on the grid, and the same cells as (u, v) stencil slices
-        on_grid = engine._around(cell, 1, setup.kernel)
-        stencil_box = (slice(cell[0] - 1, cell[0] + 2), slice(cell[1] - 1, cell[1] + 2))
-        on_stencil = engine._relative(on_grid, stencil_box)
-        if action is None:
-            # best first action per (move, next action); its uniform
-            # weight is the same for every a and is left out
-            best = setup.kernel.stencils[cell[0], cell[1]]
-            if not final:
-                best = best[..., None] * setup.p_action[:, None, None, :]
-            best = best.max(axis=0)[on_stencil]
-        else:
-            best = forward[on_grid]
         with np.errstate(divide="ignore"):
-            if final:
-                meet = np.log(setup.goal[on_grid])
-            else:
-                meet = backward[t - 1][on_grid]
-            score = np.log(best) + meet
+            score = np.log(move) + (np.log(meet) if final else meet)
         fell_back = score.max() == -inf
-        corner = (on_grid[0].start, on_grid[1].start)
 
+    top, left = on_grid[0].start, on_grid[1].start
     if not fell_back:
         i, j, *rest = _pick(score, select)
-        pick = (i + corner[0], j + corner[1], *rest)
     elif policy == POLICY_ABORT:
         what = f"posterior vanished at slice {t}"
         if final:
@@ -359,13 +341,13 @@ def _commit_next(
             )
         raise NoFeasiblePathError(what)
     elif policy == POLICY_WAIT:
-        pick = cell if final else (*cell, STILL.index)
+        i, j, *rest = cell[0] - top, cell[1] - left, STILL.index
     else:
-        if forward is None:
-            forward, _ = _forward_move(setup, cell, action, final)
-        pick = _pick(forward, select if final else rng)
-    next_cell = pick[:2]
-    next_action = None if final else pick[2]
+        if not draw and action is None:
+            move = _forward_move(setup, cell, action, final, on_grid)
+        i, j, *rest = _pick(move, select if final else rng)
+    next_cell = (i + top, j + left)
+    next_action = None if final else rest[0]
 
     if action is None:
         # weight of each first action given the committed move
@@ -395,9 +377,8 @@ def _extract(scenario: Scenario, draw: bool) -> Path:
         return Path(((1, start, None),), False)
 
     if draw:
-        backward = engine.backward_flow(
-            setup.kernel, setup.p_action, setup.goal, horizon
-        )
+        chain = engine.backward_flow(setup.kernel, setup.p_action, setup.goal, horizon)
+        backward = [message.values for message in chain]
     else:
         backward = engine._max_tube(
             setup.kernel, setup.p_action, setup.goal, horizon, start

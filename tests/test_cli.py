@@ -176,6 +176,14 @@ def test_sample_emits_seeded_blocks(capsys, empty5_file):
     assert "seed 5" in out and "seed 7" in out
 
 
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_sample_refuses_fewer_than_one_path(capsys, empty5_file, n):
+    assert main(["sample", empty5_file, "--n", n]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--n must be at least 1" in captured.err
+
+
 def test_simulate_writes_trace_and_agent_csv(tmp_path, capsys, corridor_file):
     out = tmp_path / "sim"
     assert main(["simulate", corridor_file, "--out-dir", str(out)]) == 0

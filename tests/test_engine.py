@@ -195,9 +195,11 @@ def test_windowed_passes_equal_the_whole_grid_pass(shape, sharpness, seed, data)
         sweep = engine._sweep(kernel, start, s, gather, semiring, mix)
         values = seed_values
         for crop in islice(sweep, 4):
-            values = _shift(values, s, gather, semiring=semiring)
-            assert crop[_grow(None, kernel)].tobytes() == values.tobytes()
-            values = mix(values)
+            moved = _shift(values, s, gather, semiring=semiring)
+            values = mix(moved)
+            # a gather yields the pass, a scatter the mixed pass
+            want = moved if gather else values
+            assert crop[_grow(None, kernel)].tobytes() == want.tobytes()
 
     free = free_cells(grid)
     if not free:
@@ -389,6 +391,47 @@ def test_backward_terminal_is_linear_in_the_goal(empty5):
     one = backward_terminal(goal_marginal([(1, 1)], grid), kernel)
     two = backward_terminal(goal_marginal([(3, 3)], grid), kernel)
     assert np.allclose(both.values, 0.5 * (one.values + two.values), atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_goal_arrays_are_refused(empty5, bad):
+    grid, kernel, p = empty5
+    goal = goal_marginal([(4, 4)], grid)
+    goal[1, 1] = bad
+    calls = (
+        lambda: run_flows(kernel, p, (0, 0), goal, 6),
+        lambda: backward_flow(kernel, p, goal, 6),
+        lambda: min_time(kernel, p, (0, 0), goal, 20),
+        lambda: max_backward_flow(kernel, p, goal, 6),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="non-finite"):
+            call()
+
+
+def test_goal_arrays_whose_sum_overflows_are_scaled_first(empty5):
+    grid, kernel, p = empty5
+    goal = goal_marginal([(4, 4), (2, 4)], grid)
+    huge = goal / goal.max() * 1e308  # two entries of 1e308
+    assert list(huge[huge > 0]) == [1e308, 1e308]
+    want = run_flows(kernel, p, (0, 0), goal, 6)
+    got = run_flows(kernel, p, (0, 0), huge, 6)
+    for a, b in zip(want.backward, got.backward):
+        assert a.values.tobytes() == b.values.tobytes()
+    assert got.posterior_final.tobytes() == want.posterior_final.tobytes()
+    t_min = min_time(kernel, p, (0, 0), goal, 20)
+    assert min_time(kernel, p, (0, 0), huge, 20) == t_min
+
+
+def test_non_finite_start_actions_are_refused(empty5):
+    grid, kernel, p = empty5
+    goal = goal_marginal([(4, 4)], grid)
+    nan, inf = np.ones(N_ACTIONS), np.ones(N_ACTIONS)
+    nan[3], inf[3] = np.nan, np.inf
+    # a nan or inf entry, and finite entries whose total overflows
+    for pi in (nan, inf, np.full(N_ACTIONS, 1e308)):
+        with pytest.raises(ValueError, match="finite total"):
+            run_flows(kernel, p, (0, 0), goal, 6, start_actions=pi)
 
 
 def test_backward_terminal_rejects_goal_on_obstacles():

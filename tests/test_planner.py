@@ -23,8 +23,10 @@ from flowplan import (
     scenario_flows,
     validate_path,
 )
+from flowplan import engine
+from flowplan.grid import ACTIONS, N_ACTIONS
 from flowplan.oracle import bfs_distance, enumerate_paths
-from flowplan.planner import resolve_horizon
+from flowplan.planner import build_setup, resolve_horizon
 
 from conftest import feasible_instance
 
@@ -221,6 +223,87 @@ def test_sampling_never_selects_zero_posterior_pairs(rng):
     for seed in range(5):
         path = sample_path(Scenario(grid, start, [goal], horizon=d + 3, seed=seed))
         assert path_likelihood(path, Scenario(grid, start, [goal])) > -math.inf
+
+
+def _whole_grid_sample(scenario: Scenario) -> tuple:
+    """The steps of ``sample_path`` with a pinned start heading, drawn on
+    the whole grid: the posterior of the restarted delta and the backward
+    flow, then one draw over all N*M*9 pairs (all N*M cells at the final
+    slice)."""
+    setup = build_setup(scenario)
+    kernel, p, goal = setup.kernel, setup.p_action, setup.goal
+    horizon = resolve_horizon(scenario, setup)
+    backward = engine.backward_flow(kernel, p, goal, horizon)
+    rng = np.random.default_rng(scenario.seed)
+    cell, action = scenario.start_cell, scenario.start_action.index
+    steps = []
+    for t in range(2, horizon + 1):
+        f = engine.initial_forward(kernel, cell, np.eye(N_ACTIONS)[action])
+        if t < horizon:
+            score = engine.posterior(engine.forward_step(f, kernel, p), backward[t - 1])
+            score = score.values
+        else:
+            score = engine.forward_final(f, kernel) * goal
+        flat = score.reshape(-1)
+        pick = np.unravel_index(rng.choice(flat.size, p=flat / flat.sum()), score.shape)
+        steps.append((t - 1, cell, action))
+        cell = (int(pick[0]), int(pick[1]))
+        action = int(pick[2]) if t < horizon else None
+        if cell in scenario.goal_cells:
+            break
+    return (*steps, (t, cell, action))
+
+
+def test_sample_path_draws_as_the_whole_grid_posterior(rng):
+    for _ in range(30):
+        rows, cols = (int(k) for k in rng.integers(1, 9, size=2))
+        if rows * cols < 2:
+            continue
+        grid, start, goal, _ = feasible_instance(rng, rows, cols, density=0.25)
+        # a second, weighted goal somewhere near the first
+        other = (min(goal[0] + 1, rows - 1), goal[1])
+        goals = [(goal, 1.0)]
+        if grid.is_free(other) and other not in (goal, start):
+            goals.append((other, float(rng.uniform(0.2, 5.0))))
+        base = Scenario(
+            grid, start, goals, start_action=ACTIONS[int(rng.integers(N_ACTIONS))],
+            sharpness=float(rng.uniform(0.3, 0.95)),
+            stiffness=float(rng.choice([0.0, 0.5, 1.0])),
+        )
+        try:
+            t_min = resolve_horizon(base)
+        except UnreachableError:  # e.g. a frozen heading that points away
+            continue
+        for slack in (0, 1, 4):
+            for seed in range(3):
+                scenario = replace(base, horizon=t_min + slack, seed=seed)
+                assert sample_path(scenario).steps == _whole_grid_sample(scenario)
+
+
+def test_sample_path_draws_on_the_neighbourhood_only(monkeypatch):
+    grid = GridMap.empty(60, 60)
+    scenario = Scenario(grid, (30, 5), [(35, 55)], horizon=56, seed=3)
+    want = sample_path(scenario).steps
+    sizes = []
+
+    class Recording:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def choice(self, a, p=None):
+            sizes.append(len(p))
+            return self.rng.choice(a, p=p)
+
+    def posterior(*args):
+        raise AssertionError("sample_path builds a whole-grid posterior")
+
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda s: Recording(default_rng(s)))
+    monkeypatch.setattr(engine, "posterior", posterior)
+    assert sample_path(scenario).steps == want
+    # 3 x 3 x 9 pairs per slice, the free first heading's 9 after the first,
+    # and 3 x 3 cells at the final slice
+    assert sizes == [81, 9] + [81] * (len(want) - 3) + [9]
 
 
 def test_path_likelihood_still_chain_closed_form():
