@@ -26,16 +26,17 @@ grid once it reaches every edge.  Cells outside the window would only
 receive the semiring's zero, and normalizing sums still run over the full
 arrays, so every result is bit-identical to a whole-grid pass.
 
-Sum-product messages are whole-grid arrays that carry the box of their
-support; a tensor built by a caller has no box and is treated as
-whole-grid.  The boolean sweeps and the max-product chain run through one
-generator (``_sweep``) that keeps each slice as a crop on its window
-(``_Crop``), the semiring's zero elsewhere.
+The public sum-product messages are whole-grid arrays that carry the box
+of their support; a tensor built by a caller has no box and is treated as
+whole-grid.  The boolean sweeps and the decoders' backward chains run
+through one generator (``_sweep``) that keeps each slice as a crop on its
+window (``_Crop``), the semiring's zero elsewhere.
 
 Both ends are used where only reachability or one path matters.
 ``min_time`` grows boolean support from the start and from the goal,
 always on the side with the smaller window, and stops where the two
-meet.  The greedy decoder's max-product chain (``_max_tube``) runs each
+meet.  The decoders' backward chain (``_tube``, max-product for the
+greedy one, sum-product normalized per slice for sampling) runs each
 slice only on the cells a path from the start can reach by then, the
 tube between the two cones.
 """
@@ -238,6 +239,13 @@ def _max_mixer(p_action: np.ndarray) -> _Mix:
     return lambda v: (v[:, :, None, :] + log_p).max(axis=3)
 
 
+def _sum_mixer(p_action: np.ndarray) -> _Mix:
+    """The sum-product backward action mix on a crop divided by its total
+    (when positive), so that every slice is normalized over its crop."""
+    p_t = p_action.T
+    return lambda v: (v / total if (total := v.sum()) > 0.0 else v) @ p_t
+
+
 def _forward_raw(
     f_prev: MessageTensor, kernel: TransitionKernel, p_action: np.ndarray
 ) -> tuple[np.ndarray, Box]:
@@ -346,7 +354,13 @@ def _checked_goal(goal: np.ndarray, kernel: TransitionKernel) -> np.ndarray:
         raise InvalidGoalError("goal marginal carries no mass")
     if (goal[~grid.free] > 0).any():
         raise InvalidGoalError("goal mass placed on obstacle cells")
-    return goal / total
+    normalized = goal / total
+    if np.count_nonzero(normalized) < np.count_nonzero(goal):
+        i, j = np.argwhere((goal > 0.0) & (normalized == 0.0))[0]
+        raise InvalidGoalError(
+            f"goal weight of {(int(i), int(j))} underflows to 0 against the total"
+        )
+    return normalized
 
 
 def _checked_start(
@@ -468,7 +482,7 @@ def max_backward_flow(
         raise ValueError("horizon must be at least 2")
     goal = _checked_goal(goal, kernel)
     whole = _grow(None, kernel)  # the whole grid
-    sweep = islice(_max_sweep(kernel, p_action, goal), horizon - 1)
+    sweep = islice(_goal_sweep(kernel, p_action, goal, _MAX), horizon - 1)
     return [crop[whole] for crop in sweep][::-1]
 
 
@@ -506,7 +520,7 @@ def _max_chain(
     goal = _checked_start_goal(kernel, start_cell, goal, t_max)
     if goal[start_cell] > 0.0:
         return []
-    sweep = _max_sweep(kernel, p_action, goal)
+    sweep = _goal_sweep(kernel, p_action, goal, _MAX)
     return _until_start(sweep, kernel, start_cell, start_action, t_max)
 
 
@@ -677,43 +691,54 @@ def _sweep(
             yield crop
 
 
-def _max_sweep(
+def _goal_sweep(
     kernel: TransitionKernel,
     p_action: np.ndarray,
     goal: np.ndarray,
+    semiring: _Semiring,
     clip: Callable[[int], Box] | None = None,
 ) -> Iterator[_Crop]:
-    """Log max-product backward messages, the slice before the goal first:
-    the ``_sweep`` of the gather on log stencils from the goal's box, so
-    that without a clip the k-th slice is on that box grown k times."""
+    """Backward messages in ``semiring``, the slice before the goal first:
+    the ``_sweep`` of the gather from the goal's box, so that without a
+    clip the k-th slice is on that box grown k times.  ``_MAX`` runs on
+    logs; ``_SUM`` normalizes each slice over its crop, not the grid."""
     box = _box_of(goal > 0.0)
-    seed = _Crop(box, _log(goal[box])[:, :, None], -np.inf)
-    mix = _max_mixer(p_action)
-    return _sweep(kernel, seed, kernel.log_stencils, True, _MAX, mix, clip)
+    if semiring is _MAX:
+        seed, stencils, mix = _log(goal[box]), kernel.log_stencils, _max_mixer(p_action)
+    else:
+        seed, stencils, mix = goal[box], kernel.stencils, _sum_mixer(p_action)
+    seed = _Crop(box, seed[:, :, None], semiring[0])
+    return _sweep(kernel, seed, stencils, True, semiring, mix, clip)
 
 
-def _max_tube(
+def _tube(
     kernel: TransitionKernel,
     p_action: np.ndarray,
     goal: np.ndarray,
     horizon: int,
     start_cell: Cell,
+    semiring: _Semiring,
 ) -> list[_Crop]:
-    """``max_backward_flow`` on the tube between the start and the goal.
+    """The backward chain in ``semiring`` on the tube between the start
+    and the goal, the chain both decoders read.
 
     Slice s is clipped to the cells within s steps of ``start_cell``.  Its
     gather reads one cell further out, so the slice is exact within s - 1
     steps, where a path from the start is at slice s - 1 and which holds
     every neighbour it can move to; no exact cell reads the ones nearer the
-    clip's edge.  Every exact entry is bit-identical to
-    ``max_backward_flow``.  Slices are crops, latest time last.
+    clip's edge.  Every exact ``_MAX`` entry is bit-identical to
+    ``max_backward_flow``; every exact ``_SUM`` slice is ``backward_flow``'s
+    times one positive scale, but normalized over the tube it does not
+    underflow near the start on long corridors.  Slices are crops, latest
+    time last.
     """
     goal = _checked_goal(goal, kernel)
 
     def clip(k: int) -> Box:  # the k-th slice of the sweep is slice horizon - k
         return _around(start_cell, horizon - k, kernel)
 
-    return list(islice(_max_sweep(kernel, p_action, goal, clip), horizon - 1))[::-1]
+    sweep = _goal_sweep(kernel, p_action, goal, semiring, clip)
+    return list(islice(sweep, horizon - 1))[::-1]
 
 
 def _until_start(

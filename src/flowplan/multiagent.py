@@ -307,6 +307,8 @@ def simulate(
     """
     if schedule not in ("fixed", "random"):
         raise ValueError(f"unknown schedule {schedule!r}")
+    if t_max < 1:
+        raise ValueError(f"t_max must be at least 1, got {t_max}")
     ids = [s.agent_id for s in specs]
     if len(set(ids)) != len(ids):
         raise ValueError("agent ids must be unique")

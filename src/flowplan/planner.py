@@ -1,14 +1,14 @@
 """Path extraction on top of the message-passing engine.
 
-The greedy planner precomputes the log-domain max-product backward chain
-once, on the tube of cells a path from the start can reach by each slice
-(``engine._max_tube``), then walks the horizon forward: at each slice it restarts the
-forward message as a delta on the committed (cell, action) pair, scores
-every next pair by that delta's move times the best continuation, and
-commits the argmax.  This is the Viterbi decoder, so the committed path
-is a single most likely trajectory, not a sequence of marginal argmaxes.
-``sample_path`` runs the same loop on the sum-product backward flow and
-draws from the posterior instead, on the same 3 x 3 neighbourhood, which
+Both decoders precompute one backward chain, on the tube of cells a path
+from the start can reach by each slice (``engine._tube``), then walk the
+horizon forward: at each slice they restart the forward message as a
+delta on the committed (cell, action) pair and score every next pair on
+its 3 x 3 neighbourhood by that delta's move times the chain.  The greedy
+planner reads the log-domain max-product chain and commits the argmax.
+This is the Viterbi decoder, so the committed path is a single most
+likely trajectory, not a sequence of marginal argmaxes.  ``sample_path``
+reads the sum-product chain and draws from the posterior instead, which
 turns the planner into a generator of plausible paths.
 """
 
@@ -268,7 +268,7 @@ def _reachable(setup: PlanSetup, cell: Cell, action: int | None, slices: int) ->
 
 def _commit_next(
     setup: PlanSetup,
-    backward: Sequence[np.ndarray],
+    backward: Sequence[engine._Crop],
     horizon: int,
     t: int,
     cell: Cell,
@@ -279,20 +279,19 @@ def _commit_next(
 ) -> tuple[int, Cell, int | None, bool]:
     """Commit slice ``t`` of a ``horizon``-slice plan whose slice t-1 is at
     (cell, action); ``backward`` holds slices 1 .. t of its chain at
-    least, each an array or crop read as ``backward[t - 1][cells]``.
+    least, as crops whose slice t is exact (up to one scale) on the 3 x 3
+    neighbourhood of ``cell``.
 
     The forward message restarts as that joint delta (``action = None``
     leaves the heading uniform).  After one move it is nonzero only on the
-    3 x 3 neighbourhood of ``cell``, so both modes score those cells and
-    no others: the delta's move there meets slice t of the chain, or the
-    goal marginal at the final slice.  With ``draw`` set the chain is the
-    sum-product one from ``engine.backward_flow``, and the pair is drawn
-    in proportion to move times chain, the posterior up to its scale.
-    Otherwise the chain is the log one from ``engine.max_backward_flow``,
-    or any chain whose slice t is exact on the neighbourhood (the tube of
-    ``engine._max_tube``), and the commitment is the argmax of the log
-    move plus the best continuation, so the committed path is a
-    maximum-likelihood one (a free heading takes the best first action).
+    neighbourhood, so both modes score those cells and no others: the
+    delta's move there meets slice t of the chain, or the goal marginal at
+    the final slice.  With ``draw`` set the chain is the sum-product one,
+    and the pair is drawn in proportion to move times chain, the posterior
+    up to its scale.  Otherwise it is the log max-product one, and the
+    commitment is the argmax of the log move plus the best continuation,
+    so the committed path is a maximum-likelihood one (a free heading
+    takes the best first action).
     A vanished score falls back per ``policy``: abort raises, wait stays
     on ``cell`` (still), sample draws the pair from the forward move (the
     final cell as the score would be picked).  Abort raises
@@ -376,13 +375,10 @@ def _extract(scenario: Scenario, draw: bool) -> Path:
             )
         return Path(((1, start, None),), False)
 
-    if draw:
-        chain = engine.backward_flow(setup.kernel, setup.p_action, setup.goal, horizon)
-        backward = [message.values for message in chain]
-    else:
-        backward = engine._max_tube(
-            setup.kernel, setup.p_action, setup.goal, horizon, start
-        )
+    semiring = engine._SUM if draw else engine._MAX
+    backward = engine._tube(
+        setup.kernel, setup.p_action, setup.goal, horizon, start, semiring
+    )
     rng = np.random.default_rng(scenario.seed)
     first_action = (
         scenario.start_action.index if scenario.start_action is not None else None
@@ -403,14 +399,14 @@ def _extract(scenario: Scenario, draw: bool) -> Path:
 def greedy_plan(scenario: Scenario) -> Path:
     """Maximum-likelihood path extraction.
 
-    Computes the max-product backward chain once (``engine._max_tube``, in
+    Computes the max-product backward chain once (``engine._tube``, in
     log space so no horizon underflows, on the cells the path can reach),
-    then commits slice by slice
-    the next (cell, action) pair of a best trajectory, re-instantiating
-    the forward message as a delta on each committed pair; a free initial
-    action is the best first action.  Without early stopping the path
-    attains the largest trajectory weight of the horizon, the final goal
-    weight included (the weight ``oracle.enumerate_paths`` reports).
+    then commits slice by slice the next (cell, action) pair of a best
+    trajectory, re-instantiating the forward message as a delta on each
+    committed pair; a free initial action is the best first action.
+    Without early stopping the path attains the largest trajectory weight
+    of the horizon, the final goal weight included (the weight
+    ``oracle.enumerate_paths`` reports).
     Stops early as soon as a goal cell is committed (disable with
     ``goal_stop=False``).  A horizon too short to reach the goal is
     handled per ``scenario.policy``: abort (raise), wait (emit still), or
@@ -421,7 +417,7 @@ def greedy_plan(scenario: Scenario) -> Path:
 
 def sample_path(scenario: Scenario) -> Path:
     """Like greedy_plan, but draw every commitment from the sum-product
-    posterior."""
+    posterior, read from the same tube's sum-product chain."""
     return _extract(scenario, draw=True)
 
 

@@ -68,12 +68,14 @@ def test_plan_below_minimum_time_exits_one(capsys, empty5_file):
     assert "no feasible path" in err
 
 
-def test_sample_underflow_exits_one(tmp_path, capsys):
+def test_sample_on_a_long_corridor_exits_zero(tmp_path, capsys):
     f = tmp_path / "long.txt"
     f.write_text("---\n" + "." * 700 + "\nS" + "." * 698 + "G\n" + "." * 700 + "\n")
-    assert main(["sample", str(f)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("no feasible path: posterior vanished") and "underflow" in err
+    assert main(["sample", str(f)]) == 0
+    path = parse_csv_path(capsys.readouterr().out)
+    validate_path(path, GridMap.empty(3, 700))
+    assert path.steps[0][1] == (1, 0)
+    assert path.steps[-1] == (700, (1, 699), None)
 
 
 def test_plan_is_byte_identical_across_runs(capsys, empty5_file):
@@ -206,3 +208,19 @@ def test_simulate_writes_trace_and_agent_csv(tmp_path, capsys, corridor_file):
 
 def test_simulate_rejects_single_agent_files(capsys, empty5_file):
     assert main(["simulate", empty5_file, "--out-dir", "/tmp/nowhere"]) == 2
+
+
+def test_time_budgets_below_their_minimum_exit_two(tmp_path, capsys, corridor_file):
+    text = open(corridor_file, encoding="utf-8").read()
+    multi = tmp_path / "multi.txt"
+    multi.write_text(text.replace("t_max = 40", "t_max = -3"), encoding="utf-8")
+    out = tmp_path / "sim"
+    assert main(["simulate", str(multi), "--out-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: t_max must be at least 1, got -3\n"
+    assert not out.exists()
+    single = tmp_path / "single.txt"
+    single.write_text("t_max = 1\n---\nS.G\n", encoding="utf-8")
+    assert main(["plan", str(single)]) == 2
+    assert capsys.readouterr().err == "error: t_max must be at least 2\n"

@@ -351,20 +351,29 @@ def test_min_time_stops_the_side_of_a_walled_in_start(monkeypatch):
 
 @pytest.mark.parametrize("stiffness", [0.0, 1.0])
 def test_greedy_tube_is_exact_where_greedy_reads_it(rng, stiffness):
+    # the decoders read both semirings' tubes: the max-product one byte
+    # for byte, the sum-product one up to one positive scale per slice
     p = action_matrix(stiffness)
     for rows, cols in ((9, 13), (1, 12), (12, 1), (16, 16)):
         grid, start, goal_cell, d = feasible_instance(rng, rows, cols, 0.15)
         kernel = build_kernel(grid)
         goal = goal_marginal([goal_cell], grid)
         for horizon in (d + 1, d + 4):
-            tube = engine._max_tube(kernel, p, goal, horizon, start)
-            flow = max_backward_flow(kernel, p, goal, horizon)
-            assert len(tube) == len(flow) == horizon - 1
-            for s, (crop, whole) in enumerate(zip(tube, flow), start=1):
+            max_tube = engine._tube(kernel, p, goal, horizon, start, _MAX)
+            sum_tube = engine._tube(kernel, p, goal, horizon, start, _SUM)
+            max_flow = max_backward_flow(kernel, p, goal, horizon)
+            sum_flow = [m.values for m in backward_flow(kernel, p, goal, horizon)]
+            assert len(max_tube) == len(sum_tube) == horizon - 1
+            for s in range(1, horizon):
                 # a path from the start is within s - 2 steps at slice s - 1
                 # and reads slice s on its 3 x 3 neighbourhood
                 cells = engine._around(start, s - 1, kernel)
-                assert crop[cells].tobytes() == whole[cells].tobytes()
+                got, want = max_tube[s - 1][cells], max_flow[s - 1][cells]
+                assert got.tobytes() == want.tobytes()
+                got, want = sum_tube[s - 1][cells], sum_flow[s - 1][cells]
+                scale = want.sum() / got.sum() if got.any() else 1.0
+                assert scale > 0.0
+                assert np.allclose(got * scale, want, rtol=1e-9, atol=0.0)
 
 
 def test_caller_built_messages_run_on_the_whole_grid(empty5, monkeypatch):
@@ -421,6 +430,19 @@ def test_goal_arrays_whose_sum_overflows_are_scaled_first(empty5):
     assert got.posterior_final.tobytes() == want.posterior_final.tobytes()
     t_min = min_time(kernel, p, (0, 0), goal, 20)
     assert min_time(kernel, p, (0, 0), huge, 20) == t_min
+
+
+def test_goal_entries_that_underflow_against_the_total_are_refused(empty5):
+    # normalized, 1e-30 against 1e300 is 0.0: the goal at (0, 4), next to
+    # the start, would silently drop out of every flow and search
+    grid, kernel, p = empty5
+    goal = np.zeros((5, 5))
+    goal[4, 4], goal[0, 4] = 1e300, 1e-30
+    match = r"goal weight of \(0, 4\) underflows to 0 against the total"
+    with pytest.raises(InvalidGoalError, match=match):
+        min_time(kernel, p, (0, 3), goal, 100)
+    with pytest.raises(InvalidGoalError, match=match):
+        run_flows(kernel, p, (0, 3), goal, 6)
 
 
 def test_non_finite_start_actions_are_refused(empty5):

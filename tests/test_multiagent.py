@@ -216,6 +216,17 @@ def test_simulate_validates_inputs():
         AgentSpec(1, (0, 0), [(2, 2)], sharpness=1.0)
 
 
+def test_simulate_refuses_a_budget_below_one_slice():
+    grid = GridMap.empty(3, 3)
+    specs = [AgentSpec(1, (0, 0), [(2, 2)]), AgentSpec(2, (2, 0), [(0, 2)])]
+    for t_max in (0, -3):
+        with pytest.raises(ValueError, match=f"at least 1, got {t_max}"):
+            simulate(specs, grid, t_max)
+    # one slice is a budget: the start, then a time-out
+    result = simulate(specs, grid, 1)
+    assert result.timed_out and result.t_final == 1
+
+
 def test_vanishing_arrived_agents_unblock_a_door():
     # same door-blocking setup as the timeout test, but arrived agents vanish
     grid = GridMap.from_mask(

@@ -26,7 +26,7 @@ from flowplan import (
 from flowplan import engine
 from flowplan.grid import ACTIONS, N_ACTIONS
 from flowplan.oracle import bfs_distance, enumerate_paths
-from flowplan.planner import build_setup, resolve_horizon
+from flowplan.planner import _commit_next, build_setup, resolve_horizon
 
 from conftest import feasible_instance
 
@@ -113,13 +113,33 @@ def test_greedy_aborts_below_minimum_time():
 CORRIDOR_3X700 = Scenario(GridMap.empty(3, 700), (1, 0), [(1, 699)])
 
 
-def test_sample_path_names_float_underflow_on_a_feasible_long_corridor():
-    # the normalized sum-product backward message underflows at its
-    # frontier long before it reaches the start, but the pair is feasible
-    assert resolve_horizon(CORRIDOR_3X700) == 700
+@pytest.mark.parametrize("rows, slack", [(3, 0), (3, 700), (1, 5)])
+def test_sample_path_succeeds_on_a_feasible_long_corridor(rows, slack):
+    # a sum-product chain normalized over the whole grid underflows at its
+    # frontier long before it reaches the start; normalized over the tube
+    # it does not: at the minimum time, five slices past it and twice it
+    scenario = Scenario(GridMap.empty(rows, 700), (rows // 2, 0), [(rows // 2, 699)])
+    assert resolve_horizon(scenario) == 700
+    path = sample_path(replace(scenario, horizon=700 + slack))
+    assert path.reached_goal
+    assert path.t_used <= 700 + slack  # it stops on the goal
+    validate_path(path, scenario.grid)
+
+
+def test_commit_next_names_float_underflow_when_the_goal_is_reachable():
+    # the typed error for a sum-product chain that vanished on the
+    # neighbourhood although the goal is reachable in time
+    scenario = Scenario(GridMap.empty(5, 5), (0, 0), [(4, 4)])
+    setup = build_setup(scenario)
+    kernel, p, goal = setup.kernel, setup.p_action, setup.goal
+    chain = engine._tube(kernel, p, goal, 5, (0, 0), engine._SUM)
+    rng = np.random.default_rng(0)
+    args = (5, 2, (0, 0), None, "abort", rng)
+    assert _commit_next(setup, chain, *args, draw=True)[1] == (1, 1)
+    box = chain[1].box
+    chain[1] = engine._Crop(box, np.zeros_like(chain[1].values), 0.0)
     with pytest.raises(FlowUnderflowError, match="slice 2 .*underflow"):
-        sample_path(CORRIDOR_3X700)
-    assert greedy_plan(CORRIDOR_3X700).reached_goal
+        _commit_next(setup, chain, *args, draw=True)
 
 
 def test_sample_path_below_minimum_time_is_plainly_infeasible():
