@@ -8,7 +8,7 @@ tensor is a value, not an error, because callers need to observe
 infeasibility and react (wait, resample, or abort).
 
 These sum-product messages give marginals.  The max-product backward
-chain (``max_backward_flow``, ``max_backward_chain``) gives instead the
+chain (``_max_chain``, and ``_tube`` in ``_MAX``) gives instead the
 log-likelihood of the best continuation from every (cell, action) pair,
 which is what a decoder of the single most likely path needs (the
 Viterbi recursion).  It is kept in log space, so it cannot underflow at
@@ -17,8 +17,9 @@ any horizon, and -inf marks exactly the pairs that cannot reach the goal.
 Every pass is one 3 x 3 stencil loop (``_shift``) over a semiring, in
 the sense of Aji and McEliece's generalized distributive law: (0, +, x)
 for the sum-product messages, the same on bools (OR, AND) for the support
-``min_time`` propagates, and (-inf, max, +) on logs for the max-product
-chain.  Every sweep spreads the stencil per slice from a seed: the start
+``min_time`` propagates, and (-inf, max, +) and (-inf, log-sum-exp, +) on
+logs for the max-product chain and for a sum-product one that cannot
+underflow.  Every sweep spreads the stencil per slice from a seed: the start
 cell for the forward flow, the bounding box of the goal's support for the
 backward ones.  Each pass runs only on its input's box grown by one cell
 and clipped to the grid (the support window), which becomes the whole
@@ -67,6 +68,7 @@ _Semiring = tuple[float, Callable, Callable]
 _Mix = Callable[[np.ndarray], np.ndarray]  # a per-cell mix over actions
 _SUM: _Semiring = (0.0, np.add, np.multiply)
 _MAX: _Semiring = (-np.inf, np.maximum, np.add)  # max-product on logs
+_LSE: _Semiring = (-np.inf, np.logaddexp, np.add)  # sum-product on logs
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,7 +205,7 @@ def _shift(
     its dtype, it propagates support (``TransitionKernel.support``).
     ``_MAX`` on log stencils and values (``TransitionKernel.log_stencils``)
     keeps each pair's best successor instead of the sum, -inf where there
-    is none.
+    is none; ``_LSE`` on them keeps the log of the sum.
 
     The pass runs on ``window`` only, the support window of ``values``
     (see ``_grow``): ``out``, ``stencils`` and ``values`` are cropped to
@@ -237,6 +239,12 @@ def _max_mixer(p_action: np.ndarray) -> _Mix:
     if equal and diag >= off:
         return lambda v: np.maximum(diag + v, off + v.max(axis=2, keepdims=True))
     return lambda v: (v[:, :, None, :] + log_p).max(axis=3)
+
+
+def _lse_mixer(p_action: np.ndarray) -> _Mix:
+    """The sum-product action mix on logs: log of sum over b of P[a, b] m(b)."""
+    log_p = _log(np.asarray(p_action, dtype=float))
+    return lambda v: np.logaddexp.reduce(v[:, :, None, :] + log_p, axis=3)
 
 
 def _sum_mixer(p_action: np.ndarray) -> _Mix:
@@ -466,47 +474,6 @@ def run_flows(
     )
 
 
-def max_backward_flow(
-    kernel: TransitionKernel,
-    p_action: np.ndarray,
-    goal: np.ndarray,
-    horizon: int,
-) -> list[np.ndarray]:
-    """Log max-product backward messages for t = 1 .. horizon-1, latest last.
-
-    Entry (i, j, a) at slice t is the log-likelihood of the best way to
-    finish from cell (i, j) with action a at slice t, the goal weight of
-    the final cell included; -inf where the goal cannot be reached.
-    """
-    if horizon < 2:
-        raise ValueError("horizon must be at least 2")
-    goal = _checked_goal(goal, kernel)
-    whole = _grow(None, kernel)  # the whole grid
-    sweep = islice(_goal_sweep(kernel, p_action, goal, _MAX), horizon - 1)
-    return [crop[whole] for crop in sweep][::-1]
-
-
-def max_backward_chain(
-    kernel: TransitionKernel,
-    p_action: np.ndarray,
-    start_cell: Cell,
-    goal: np.ndarray,
-    t_max: int,
-    start_action: int | None = None,
-) -> list[np.ndarray]:
-    """``max_backward_flow`` at the horizon ``min_time`` would return.
-
-    One sweep outward from the goal gives both: a finite log value is
-    exactly the support ``min_time`` propagates, so the sweep stops at the
-    first slice that is finite at the start.  ``len(chain) + 1`` is the
-    minimum time (an empty chain when the start is on the goal), and the
-    arguments and errors are those of ``min_time``.
-    """
-    whole = _grow(None, kernel)  # the whole grid
-    crops = _max_chain(kernel, p_action, start_cell, goal, t_max, start_action)
-    return [crop[whole] for crop in crops][::-1]
-
-
 def _max_chain(
     kernel: TransitionKernel,
     p_action: np.ndarray,
@@ -515,8 +482,11 @@ def _max_chain(
     t_max: int,
     start_action: int | None = None,
 ) -> Iterable[_Crop]:
-    """The slices of ``max_backward_chain`` as crops, the slice before the
-    goal first (the start's slice last)."""
+    """The log max-product backward chain at the horizon ``min_time`` would
+    return, as crops, the slice before the goal first.  One sweep from the
+    goal gives both: a finite log value is exactly the support ``min_time``
+    propagates, so the sweep stops at the first slice finite at the start.
+    Its arguments and errors are those of ``min_time``."""
     goal = _checked_start_goal(kernel, start_cell, goal, t_max)
     if goal[start_cell] > 0.0:
         return []
@@ -700,13 +670,14 @@ def _goal_sweep(
 ) -> Iterator[_Crop]:
     """Backward messages in ``semiring``, the slice before the goal first:
     the ``_sweep`` of the gather from the goal's box, so that without a
-    clip the k-th slice is on that box grown k times.  ``_MAX`` runs on
-    logs; ``_SUM`` normalizes each slice over its crop, not the grid."""
+    clip the k-th slice is on that box grown k times.  ``_SUM`` normalizes
+    each slice over its crop, not the grid; the others run on logs."""
     box = _box_of(goal > 0.0)
-    if semiring is _MAX:
-        seed, stencils, mix = _log(goal[box]), kernel.log_stencils, _max_mixer(p_action)
-    else:
+    if semiring is _SUM:
         seed, stencils, mix = goal[box], kernel.stencils, _sum_mixer(p_action)
+    else:
+        seed, stencils = _log(goal[box]), kernel.log_stencils
+        mix = (_max_mixer if semiring is _MAX else _lse_mixer)(p_action)
     seed = _Crop(box, seed[:, :, None], semiring[0])
     return _sweep(kernel, seed, stencils, True, semiring, mix, clip)
 
@@ -726,11 +697,12 @@ def _tube(
     gather reads one cell further out, so the slice is exact within s - 1
     steps, where a path from the start is at slice s - 1 and which holds
     every neighbour it can move to; no exact cell reads the ones nearer the
-    clip's edge.  Every exact ``_MAX`` entry is bit-identical to
-    ``max_backward_flow``; every exact ``_SUM`` slice is ``backward_flow``'s
-    times one positive scale, but normalized over the tube it does not
-    underflow near the start on long corridors.  Slices are crops, latest
-    time last.
+    clip's edge.  There the log semirings' entries are bit-identical to
+    the unclipped ``_goal_sweep``'s, and each ``_SUM`` slice is
+    ``backward_flow``'s times one positive scale: normalized over the tube,
+    it does not underflow near the start on long corridors, and where it
+    still does, ``_LSE`` holds the same chain as logs.  Slices are crops,
+    latest time last.
     """
     goal = _checked_goal(goal, kernel)
 

@@ -25,11 +25,6 @@ class NoFeasiblePathError(PlanningError):
     """Path extraction hit an empty posterior under the abort policy."""
 
 
-class FlowUnderflowError(NoFeasiblePathError):
-    """The posterior vanished in float64 although the goal is reachable in
-    time: the normalized sum-product backward message underflowed."""
-
-
 class ScenarioParseError(PlanningError):
     """Malformed scenario file; carries a 1-based line number when known."""
 

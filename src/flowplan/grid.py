@@ -160,14 +160,19 @@ def default_masks(sharpness: float = 0.8) -> dict[Action, np.ndarray]:
     return masks
 
 
+def _check_stiffness(stiffness: float) -> None:
+    """Refuse a motion stiffness outside [0, 1], nan included."""
+    if not 0.0 <= stiffness <= 1.0:
+        raise ValueError(f"stiffness must be in [0, 1], got {stiffness}")
+
+
 def action_matrix(stiffness: float = 0.0) -> np.ndarray:
     """Row-stochastic action-to-action transition matrix.
 
     ``stiffness`` interpolates between a uniform switch (0, the default) and
     keeping the current heading forever (1).
     """
-    if not 0.0 <= stiffness <= 1.0:
-        raise ValueError(f"stiffness must be in [0, 1], got {stiffness}")
+    _check_stiffness(stiffness)
     p = stiffness * np.eye(N_ACTIONS) + (1.0 - stiffness) / N_ACTIONS
     p.flags.writeable = False
     return p

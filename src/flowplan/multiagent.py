@@ -26,6 +26,7 @@ from .grid import (
     GridMap,
     STILL,
     TransitionKernel,
+    _check_stiffness,
     action_matrix,
     build_kernel,
     default_masks,
@@ -67,6 +68,7 @@ class AgentSpec:
                 f"agent {self.agent_id} has neither goals nor agents to chase"
             )
         _check_sharpness(self.sharpness)
+        _check_stiffness(self.stiffness)
 
 
 @dataclass(frozen=True)

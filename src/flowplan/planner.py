@@ -16,13 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf, isfinite, log
-from typing import Sequence
+from typing import MutableSequence, Sequence
 
 import numpy as np
 
 from . import engine
 from .engine import Box
-from .errors import FlowUnderflowError, InvalidGoalError, NoFeasiblePathError
+from .errors import InvalidGoalError, NoFeasiblePathError
 from .grid import (
     Action,
     Cell,
@@ -30,6 +30,7 @@ from .grid import (
     N_ACTIONS,
     STILL,
     TransitionKernel,
+    _check_stiffness,
     action_matrix,
     build_kernel,
     default_masks,
@@ -99,6 +100,12 @@ def _check_sharpness(sharpness: float) -> None:
         )
 
 
+def _check_seed(seed: int) -> None:
+    """Refuse a negative seed, which ``np.random.default_rng`` cannot take."""
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+
+
 @dataclass(frozen=True)
 class Scenario:
     """A single-agent planning problem.
@@ -125,6 +132,8 @@ class Scenario:
         if not self.grid.is_free(self.start_cell):
             raise ValueError(f"start {self.start_cell} is not a free cell")
         _check_sharpness(self.sharpness)
+        _check_stiffness(self.stiffness)
+        _check_seed(self.seed)
         object.__setattr__(self, "goals", _normalized_goals(self.goals))
         for cell, _ in self.goals:
             if not self.grid.is_free(cell):
@@ -256,19 +265,9 @@ def _forward_move(
     return engine.forward_step(f, setup.kernel, setup.p_action).values[cells]
 
 
-def _reachable(setup: PlanSetup, cell: Cell, action: int | None, slices: int) -> bool:
-    """Whether a path that starts on (cell, action), any action if None,
-    can end on the goal ``slices`` slices later, counting its first.  Read
-    from the log max-product chain, which cannot underflow."""
-    first = engine.max_backward_flow(
-        setup.kernel, setup.p_action, setup.goal, slices
-    )[0][cell]
-    return bool(np.isfinite(first if action is None else first[action]).any())
-
-
 def _commit_next(
     setup: PlanSetup,
-    backward: Sequence[engine._Crop],
+    backward: MutableSequence[engine._Crop],
     horizon: int,
     t: int,
     cell: Cell,
@@ -288,18 +287,21 @@ def _commit_next(
     delta's move there meets slice t of the chain, or the goal marginal at
     the final slice.  With ``draw`` set the chain is the sum-product one,
     and the pair is drawn in proportion to move times chain, the posterior
-    up to its scale.  Otherwise it is the log max-product one, and the
-    commitment is the argmax of the log move plus the best continuation,
-    so the committed path is a maximum-likelihood one (a free heading
-    takes the best first action).
-    A vanished score falls back per ``policy``: abort raises, wait stays
-    on ``cell`` (still), sample draws the pair from the forward move (the
-    final cell as the score would be picked).  Abort raises
-    ``FlowUnderflowError`` when a drawn posterior vanished although the
-    goal is reachable in time from (cell, action), and
-    ``NoFeasiblePathError`` otherwise.  A free ``action`` is backfilled
-    from the committed move.  Returns (action, next_cell, next_action,
-    fell_back); the final slice's next_action is None.
+    up to its scale.  Where that product vanishes, slices t-1 .. horizon-1
+    of ``backward`` are redone in place as the log sum-product tube from
+    ``cell`` (``engine._LSE``), which this draw and every later one read:
+    they weigh by the exp of log move plus log chain, shifted by its max,
+    as does a final draw whose product with the goal vanishes.
+    Otherwise the chain is the log max-product one, and the commitment is
+    the argmax of the log move plus the best continuation, so the
+    committed path is a maximum-likelihood one (a free heading takes the
+    best first action).
+    A log score has exact support, so one that vanished means no path:
+    it falls back per ``policy``: abort raises ``NoFeasiblePathError``,
+    wait stays on ``cell`` (still), sample draws the pair from the forward
+    move (the final cell as the score would be picked).  A free ``action``
+    is backfilled from the committed move.  Returns (action, next_cell,
+    next_action, fell_back); the final slice's next_action is None.
     """
     final = t == horizon
     select = rng if draw else None
@@ -316,29 +318,26 @@ def _commit_next(
             move = move[..., None] * setup.p_action[:, None, None, :]
         move = move.max(axis=0)[engine._relative(on_grid, stencil_box)]
     meet = setup.goal[on_grid] if final else backward[t - 1][on_grid]
-    if draw:
-        score = move * meet
-        fell_back = not score.any()
-    else:
+    linear = draw and (final or backward[t - 1].zero == 0.0)  # a sum-product meet
+    score = move * meet if linear else None
+    if linear and not score.any() and not final:
+        sweep = (setup.kernel, setup.p_action, setup.goal, horizon - t + 2, cell)
+        backward[t - 2:] = engine._tube(*sweep, engine._LSE)
+        meet = backward[t - 1][on_grid]
+    if not linear or not score.any():
         with np.errstate(divide="ignore"):
             score = np.log(move) + (np.log(meet) if final else meet)
-        fell_back = score.max() == -inf
+        if draw and score.max() > -inf:
+            score = np.exp(score - score.max())
+    fell_back = score.max() == -inf
 
     top, left = on_grid[0].start, on_grid[1].start
     if not fell_back:
         i, j, *rest = _pick(score, select)
     elif policy == POLICY_ABORT:
         what = f"posterior vanished at slice {t}"
-        if final:
-            what = "final posterior vanished"
-        what = f"{what} (horizon {horizon})"
-        # (cell, action) sits at slice t - 1 of the horizon
-        if draw and _reachable(setup, cell, action, horizon - t + 2):
-            raise FlowUnderflowError(
-                f"{what}: float64 underflow in the sum-product backward flow, "
-                f"the goal is reachable in time"
-            )
-        raise NoFeasiblePathError(what)
+        what = "final posterior vanished" if final else what
+        raise NoFeasiblePathError(f"{what} (horizon {horizon})")
     elif policy == POLICY_WAIT:
         i, j, *rest = cell[0] - top, cell[1] - left, STILL.index
     else:

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ScenarioParseError
-from .grid import GridMap
+from .grid import GridMap, _check_stiffness
 from .multiagent import AgentSpec
-from .planner import POLICIES, POLICY_WAIT, Scenario, _check_sharpness
+from .planner import POLICIES, POLICY_WAIT, Scenario, _check_seed, _check_sharpness
 
 _DEFAULTS = {
     "horizon": "auto",
@@ -40,6 +40,9 @@ _DEFAULTS = {
     "t_max": None,
     "goal_weights": None,
 }
+
+# header values refused with their line, as the constructors would refuse them
+_CHECKS = {"kappa": _check_sharpness, "lambda": _check_stiffness, "seed": _check_seed}
 
 _AGENT_DIGITS = "123456789"
 _GOAL_LETTERS = "abcdefghi"
@@ -99,9 +102,9 @@ def _parse_header(lines: list[str]) -> tuple[dict, int]:
             raise ScenarioParseError(
                 f"bad value {value!r} for {key!r}", idx + 1
             ) from None
-        if key == "kappa":
+        if key in _CHECKS:
             try:
-                _check_sharpness(values[key])
+                _CHECKS[key](values[key])
             except ValueError as exc:
                 raise ScenarioParseError(str(exc), idx + 1) from None
         saw_key = True
@@ -270,7 +273,7 @@ def _serialize_single(sc: Scenario) -> str:
     if sc.t_max is not None:
         header.append(f"t_max = {sc.t_max}")
     weights = [w for _, w in ordered]
-    if len(weights) > 1 and max(weights) - min(weights) > 1e-12:
+    if len(set(weights)) > 1:
         header.append("goal_weights = " + ",".join(repr(w) for w in weights))
     body = "\n".join("".join(r) for r in rows)
     return "\n".join(header) + "\n---\n" + body + "\n"
@@ -279,6 +282,8 @@ def _serialize_single(sc: Scenario) -> str:
 def _serialize_world(ws: WorldSpec) -> str:
     rows = _grid_chars(ws.grid)
     for spec in ws.agents:
+        if not 1 <= spec.agent_id <= 9:
+            raise ValueError(f"agent id {spec.agent_id} has no grid digit (1-9)")
         digit = _AGENT_DIGITS[spec.agent_id - 1]
         rows[spec.start_cell[0]][spec.start_cell[1]] = digit
         letter = _GOAL_LETTERS[spec.agent_id - 1]

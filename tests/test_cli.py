@@ -145,6 +145,19 @@ def test_kappa_one_is_refused_at_its_header_line(tmp_path, capsys):
     assert "keeps no outward move" in err
 
 
+@pytest.mark.parametrize("line", ["seed = -1", "lambda = 1.5", "lambda = nan"])
+def test_bad_seed_and_stiffness_exit_two_at_their_header_line(tmp_path, capsys, line):
+    f = tmp_path / "bad.txt"
+    f.write_text(f"horizon = auto\n{line}\n---\nS.G\n", encoding="utf-8")
+    assert main(["sample", str(f)]) == 2
+    assert capsys.readouterr().err.startswith("scenario error: line 2: ")
+
+
+def test_a_negative_seed_option_exits_two(capsys, empty5_file):
+    assert main(["sample", empty5_file, "--seed", "-1"]) == 2
+    assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+
+
 def test_missing_file_exits_two(capsys):
     assert main(["plan", "/nonexistent/path.txt"]) == 2
 

@@ -32,13 +32,12 @@ from flowplan.engine import (
     BACKWARD,
     FORWARD,
     _grow,
+    _LSE,
     _MAX,
     _SUM,
     _log,
     _shift,
     backward_flow,
-    max_backward_chain,
-    max_backward_flow,
 )
 from flowplan.grid import ACTION_BY_NAME, N_ACTIONS
 from flowplan.oracle import bfs_distance, dense_chain, dense_messages
@@ -50,6 +49,20 @@ def joint_delta(grid: GridMap, cell, action_index: int) -> MessageTensor:
     values = np.zeros((grid.rows, grid.cols, N_ACTIONS))
     values[cell[0], cell[1], action_index] = 1.0
     return MessageTensor(values, FORWARD)
+
+
+def log_flow(kernel, p, goal, horizon, semiring=_MAX) -> list[np.ndarray]:
+    """The log backward chain in ``semiring`` for t = 1 .. horizon-1, latest
+    last, read whole-grid from the unclipped goal sweep."""
+    goal = engine._checked_goal(goal, kernel)
+    sweep = islice(engine._goal_sweep(kernel, p, goal, semiring), horizon - 1)
+    return [crop[_grow(None, kernel)] for crop in sweep][::-1]
+
+
+def max_chain(kernel, p, start, goal, t_max, pinned=None) -> list[np.ndarray]:
+    """``engine._max_chain`` read whole-grid, the start's slice first."""
+    crops = engine._max_chain(kernel, p, start, goal, t_max, pinned)
+    return [crop[_grow(None, kernel)] for crop in crops][::-1]
 
 
 @pytest.fixture
@@ -179,9 +192,10 @@ def test_windowed_passes_equal_the_whole_grid_pass(shape, sharpness, seed, data)
                 windowed = _shift(v, s, gather, window)
                 assert windowed.tobytes() == _shift(v, s, gather).tobytes()
     log_stencils = _log(stencils)
-    whole = _shift(_log(x), log_stencils, True, semiring=_MAX)
-    windowed = _shift(_log(x), log_stencils, True, window, semiring=_MAX)
-    assert windowed.tobytes() == whole.tobytes()
+    for semiring in (_MAX, _LSE):
+        whole = _shift(_log(x), log_stencils, True, semiring=semiring)
+        windowed = _shift(_log(x), log_stencils, True, window, semiring=semiring)
+        assert windowed.tobytes() == whole.tobytes()
     # every crop of a sweep, expanded with its fill, is the whole-grid pass
     kind = data.draw(st.sampled_from(["0", "0.5", "1", "general"]))
     p_sweep = _p_action(kind, np.random.default_rng([seed, 1]))
@@ -190,6 +204,7 @@ def test_windowed_passes_equal_the_whole_grid_pass(shape, sharpness, seed, data)
         (x > 0.0, support, False, _SUM, mix_forward),
         (x > 0.0, support, True, _SUM, mix_backward),
         (_log(x), log_stencils, True, _MAX, engine._max_mixer(p_sweep)),
+        (_log(x), log_stencils, True, _LSE, engine._lse_mixer(p_sweep)),
     ):
         start = engine._Crop(box, seed_values[box], semiring[0])
         sweep = engine._sweep(kernel, start, s, gather, semiring, mix)
@@ -222,7 +237,7 @@ def test_windowed_passes_equal_the_whole_grid_pass(shape, sharpness, seed, data)
         assert q.values.tobytes() == whole.values.tobytes()
     # slice T-1-k of the max-product chain is the goal box grown k+1 times
     box = engine._box_of(goal > 0.0)
-    for values in reversed(max_backward_flow(kernel, p, goal, horizon)):
+    for values in reversed(log_flow(kernel, p, goal, horizon)):
         box = _grow(box, kernel)
         assert not np.isfinite(_outside(values, box, -np.inf)).any()
 
@@ -256,7 +271,7 @@ def _one_sided_min_time(kernel, p, start, goal, t_max, pinned):
     """The horizon of the one-sided max-product sweep from the goal, or its
     UnreachableError message."""
     try:
-        return len(max_backward_chain(kernel, p, start, goal, t_max, pinned)) + 1
+        return len(max_chain(kernel, p, start, goal, t_max, pinned)) + 1
     except UnreachableError as err:
         return str(err)
 
@@ -327,7 +342,7 @@ def test_min_time_meets_in_the_middle(monkeypatch):
     assert shapes and max(max(shape) for shape in shapes) <= 32
     # from one side alone the sweep reaches the far corner
     shapes.clear()
-    assert len(max_backward_chain(kernel, p, (0, 0), goal, 1000)) + 1 == 60
+    assert len(max_chain(kernel, p, (0, 0), goal, 1000)) + 1 == 60
     assert (60, 60) in shapes
 
 
@@ -351,8 +366,9 @@ def test_min_time_stops_the_side_of_a_walled_in_start(monkeypatch):
 
 @pytest.mark.parametrize("stiffness", [0.0, 1.0])
 def test_greedy_tube_is_exact_where_greedy_reads_it(rng, stiffness):
-    # the decoders read both semirings' tubes: the max-product one byte
-    # for byte, the sum-product one up to one positive scale per slice
+    # the decoders read the tubes: the log ones (max-product, and the
+    # sum-product redo of sampling) byte for byte, the sum-product one up
+    # to one positive scale per slice
     p = action_matrix(stiffness)
     for rows, cols in ((9, 13), (1, 12), (12, 1), (16, 16)):
         grid, start, goal_cell, d = feasible_instance(rng, rows, cols, 0.15)
@@ -361,14 +377,18 @@ def test_greedy_tube_is_exact_where_greedy_reads_it(rng, stiffness):
         for horizon in (d + 1, d + 4):
             max_tube = engine._tube(kernel, p, goal, horizon, start, _MAX)
             sum_tube = engine._tube(kernel, p, goal, horizon, start, _SUM)
-            max_flow = max_backward_flow(kernel, p, goal, horizon)
+            lse_tube = engine._tube(kernel, p, goal, horizon, start, _LSE)
+            max_whole = log_flow(kernel, p, goal, horizon)
+            lse_whole = log_flow(kernel, p, goal, horizon, _LSE)
             sum_flow = [m.values for m in backward_flow(kernel, p, goal, horizon)]
             assert len(max_tube) == len(sum_tube) == horizon - 1
             for s in range(1, horizon):
                 # a path from the start is within s - 2 steps at slice s - 1
                 # and reads slice s on its 3 x 3 neighbourhood
                 cells = engine._around(start, s - 1, kernel)
-                got, want = max_tube[s - 1][cells], max_flow[s - 1][cells]
+                got, want = max_tube[s - 1][cells], max_whole[s - 1][cells]
+                assert got.tobytes() == want.tobytes()
+                got, want = lse_tube[s - 1][cells], lse_whole[s - 1][cells]
                 assert got.tobytes() == want.tobytes()
                 got, want = sum_tube[s - 1][cells], sum_flow[s - 1][cells]
                 scale = want.sum() / got.sum() if got.any() else 1.0
@@ -411,7 +431,8 @@ def test_non_finite_goal_arrays_are_refused(empty5, bad):
         lambda: run_flows(kernel, p, (0, 0), goal, 6),
         lambda: backward_flow(kernel, p, goal, 6),
         lambda: min_time(kernel, p, (0, 0), goal, 20),
-        lambda: max_backward_flow(kernel, p, goal, 6),
+        lambda: engine._tube(kernel, p, goal, 6, (0, 0), _MAX),
+        lambda: engine._tube(kernel, p, goal, 6, (0, 0), _LSE),
     )
     for call in calls:
         with pytest.raises(ValueError, match="non-finite"):
@@ -648,14 +669,14 @@ def test_min_time_matches_dense_oracle_support(rng, sharpness, stiffness):
                 assert min_time(kernel, p, start, goal, 1000, start_action=pinned) == want
 
 
-def _dense_max_backward(chain, goal, horizon) -> list[np.ndarray]:
-    # max over successors j of log joint[i, j] + message[j], with the
-    # final slice gathered from the goal through to_state
+def _dense_log_backward(chain, goal, horizon, reduce=np.max) -> list[np.ndarray]:
+    # max (or log-sum-exp) over successors j of log joint[i, j] +
+    # message[j], with the final slice gathered from the goal through to_state
     with np.errstate(divide="ignore"):
         log_joint, log_to_state = np.log(chain.joint), np.log(chain.to_state)
-        out = [(log_to_state + np.log(goal.reshape(-1))).max(axis=1)]
+        out = [reduce(log_to_state + np.log(goal.reshape(-1)), axis=1)]
     for _ in range(2, horizon):
-        out.insert(0, (log_joint + out[0]).max(axis=1))
+        out.insert(0, reduce(log_joint + out[0], axis=1))
     return out
 
 
@@ -673,14 +694,35 @@ def test_max_backward_flow_matches_dense_max_product(rng, p_kind):
         kernel = build_kernel(grid)
         goal = goal_marginal([goal_cell], grid)
         horizon = int(rng.integers(2, 7))
-        got = max_backward_flow(kernel, p, goal, horizon)
-        want = _dense_max_backward(dense_chain(kernel, p), goal, horizon)
-        assert len(got) == len(want) == horizon - 1
-        for g, w in zip(got, want):
-            g = g.reshape(-1)
-            finite = np.isfinite(w)
-            assert np.array_equal(np.isfinite(g), finite)
-            assert np.allclose(g[finite], w[finite], rtol=0.0, atol=1e-12)
+        got = log_flow(kernel, p, goal, horizon)
+        want = _dense_log_backward(dense_chain(kernel, p), goal, horizon)
+        _assert_log_chains_match(got, want, horizon)
+
+
+def _assert_log_chains_match(got, want, horizon):
+    assert len(got) == len(want) == horizon - 1
+    for g, w in zip(got, want):
+        g = g.reshape(-1)
+        finite = np.isfinite(w)
+        assert np.array_equal(np.isfinite(g), finite)
+        assert np.allclose(g[finite], w[finite], rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("p_kind", ["0", "0.6", "1", "general"])
+def test_log_sum_product_sweep_matches_the_dense_chain(rng, p_kind):
+    # the log of the unnormalized sum-product chain, -inf exactly where no
+    # path reaches the goal, with two goals of very unequal weight
+    p = _p_action(p_kind, rng)
+    for _ in range(3):
+        grid, _, goal_cell, _ = feasible_instance(rng, 4, 4)
+        other = free_cells(grid)[0]
+        kernel = build_kernel(grid)
+        goal = goal_marginal([(goal_cell, 1.0), (other, 1e-300)], grid)
+        horizon = int(rng.integers(2, 7))
+        got = log_flow(kernel, p, goal, horizon, _LSE)
+        chain = dense_chain(kernel, p)
+        want = _dense_log_backward(chain, goal, horizon, np.logaddexp.reduce)
+        _assert_log_chains_match(got, want, horizon)
 
 
 @pytest.mark.parametrize("stiffness", [0.0, 0.5, 1.0])
@@ -700,11 +742,11 @@ def test_max_backward_chain_is_the_max_flow_at_min_time(rng, stiffness):
                     want = min_time(kernel, p, start, goal, t_max, start_action=pinned)
                 except UnreachableError as err:
                     with pytest.raises(UnreachableError, match=re.escape(str(err))):
-                        max_backward_chain(kernel, p, start, goal, t_max, pinned)
+                        max_chain(kernel, p, start, goal, t_max, pinned)
                     continue
-                chain = max_backward_chain(kernel, p, start, goal, t_max, pinned)
+                chain = max_chain(kernel, p, start, goal, t_max, pinned)
                 assert len(chain) + 1 == want
-                flow = max_backward_flow(kernel, p, goal, want)
+                flow = log_flow(kernel, p, goal, want)
                 assert all(np.array_equal(a, b) for a, b in zip(chain, flow))
 
 

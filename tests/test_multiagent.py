@@ -216,6 +216,12 @@ def test_simulate_validates_inputs():
         AgentSpec(1, (0, 0), [(2, 2)], sharpness=1.0)
 
 
+@pytest.mark.parametrize("stiffness", [1.5, float("nan")])
+def test_agent_spec_refuses_a_stiffness_outside_the_unit_interval(stiffness):
+    with pytest.raises(ValueError, match=r"stiffness must be in \[0, 1\]"):
+        AgentSpec(1, (0, 0), [(2, 2)], stiffness=stiffness)
+
+
 def test_simulate_refuses_a_budget_below_one_slice():
     grid = GridMap.empty(3, 3)
     specs = [AgentSpec(1, (0, 0), [(2, 2)]), AgentSpec(2, (2, 0), [(0, 2)])]
@@ -262,7 +268,7 @@ def test_sample_policy_agents_move_randomly_when_blocked():
 
 def _rebuilding_plan_step(self, grid, snapshots, remaining, rng, arrived_vanish=False):
     """The runner's step as a reference: a fresh kernel of the dynamic map
-    and the whole-grid ``max_backward_chain``, every round."""
+    and ``engine._max_chain``'s crops read whole-grid, every round."""
     spec = self.spec
     me = snapshots[spec.agent_id]
     try:
@@ -277,9 +283,10 @@ def _rebuilding_plan_step(self, grid, snapshots, remaining, rng, arrived_vanish=
         return me.cell, STILL.index, None, True
     kernel = build_kernel(dyn, self.masks)
     try:
-        backward = engine.max_backward_chain(
+        crops = engine._max_chain(
             kernel, self.p_action, me.cell, goal, max(remaining, 2), me.action
         )
+        backward = [crop[engine._grow(None, kernel)] for crop in crops][::-1]
     except UnreachableError:
         return self._blocked(me)
     horizon = len(backward) + 1

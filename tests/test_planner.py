@@ -5,10 +5,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowplan import (
     AgentSpec,
-    FlowUnderflowError,
     GridMap,
     InvalidGoalError,
     NoFeasiblePathError,
@@ -28,7 +29,7 @@ from flowplan.grid import ACTIONS, N_ACTIONS
 from flowplan.oracle import bfs_distance, enumerate_paths
 from flowplan.planner import _commit_next, build_setup, resolve_horizon
 
-from conftest import feasible_instance
+from conftest import feasible_instance, free_cells, random_map
 
 
 def test_goal_marginal_three_equal_weights():
@@ -126,9 +127,10 @@ def test_sample_path_succeeds_on_a_feasible_long_corridor(rows, slack):
     validate_path(path, scenario.grid)
 
 
-def test_commit_next_names_float_underflow_when_the_goal_is_reachable():
-    # the typed error for a sum-product chain that vanished on the
-    # neighbourhood although the goal is reachable in time
+def test_commit_next_redoes_a_vanished_draw_in_log_space():
+    # a sum-product chain that vanished on the neighbourhood although the
+    # goal is reachable in time: the rest of the chain is redone in log
+    # space from the current cell, and the draw commits from it
     scenario = Scenario(GridMap.empty(5, 5), (0, 0), [(4, 4)])
     setup = build_setup(scenario)
     kernel, p, goal = setup.kernel, setup.p_action, setup.goal
@@ -138,8 +140,99 @@ def test_commit_next_names_float_underflow_when_the_goal_is_reachable():
     assert _commit_next(setup, chain, *args, draw=True)[1] == (1, 1)
     box = chain[1].box
     chain[1] = engine._Crop(box, np.zeros_like(chain[1].values), 0.0)
-    with pytest.raises(FlowUnderflowError, match="slice 2 .*underflow"):
-        _commit_next(setup, chain, *args, draw=True)
+    action, cell, next_action, fell_back = _commit_next(setup, chain, *args, draw=True)
+    assert (cell, fell_back) == ((1, 1), False)
+    assert next_action is not None and action is not None
+    assert len(chain) == 4 and all(crop.zero == -math.inf for crop in chain)
+    # the later slices read the log chain without another redo
+    assert _commit_next(setup, chain, 5, 3, (1, 1), next_action, "abort", rng, True)[1] == (2, 2)
+
+
+def test_commit_next_raises_plain_infeasibility_when_the_log_redo_is_dead():
+    # one slice below the minimum time the log chain is dead on the
+    # neighbourhood too, so no path exists and nothing names underflow
+    scenario = Scenario(GridMap.empty(5, 5), (0, 0), [(4, 4)])
+    setup = build_setup(scenario)
+    chain = engine._tube(setup.kernel, setup.p_action, setup.goal, 4, (0, 0), engine._SUM)
+    rng = np.random.default_rng(0)
+    with pytest.raises(NoFeasiblePathError, match=r"slice 2 \(horizon 4\)$") as info:
+        _commit_next(setup, chain, 4, 2, (0, 0), None, "abort", rng, draw=True)
+    assert type(info.value) is NoFeasiblePathError
+    assert all(crop.zero == -math.inf for crop in chain)
+
+
+def _walled_130x6(horizon):
+    # the heavy goal sits behind a wall, out of reach in time, but inside
+    # the tube's box: normalized over the crop, its mass sinks the light
+    # goal's below the smallest double near the start
+    mask = np.zeros((130, 6), dtype=np.uint8)
+    mask[:128, 1] = 1
+    grid = GridMap.from_mask(mask)
+    goals = [((5, 2), 1.0), ((85, 0), 1e-300)]
+    return Scenario(grid, (5, 0), goals, horizon=horizon)
+
+
+@pytest.mark.parametrize("horizon", [None, 100])
+def test_sampling_recovers_where_a_light_goal_underflows(horizon):
+    scenario = _walled_130x6(horizon)
+    assert resolve_horizon(scenario) == (81 if horizon is None else horizon)
+    for plan in (sample_path, greedy_plan):
+        path = plan(scenario)
+        validate_path(path, scenario.grid)
+        assert path.reached_goal and path.steps[-1][1] == (85, 0)
+
+
+def test_sampling_recovers_where_the_final_product_underflows():
+    # move times a goal weight of 5e-324 rounds to 0 at the final slice
+    grid = GridMap.empty(1, 4)
+    goals = [((0, 0), 1.0), ((0, 3), 5e-324)]
+    scenario = Scenario(grid, (0, 2), goals, stiffness=1.0)
+    for plan in (sample_path, greedy_plan):
+        path = plan(scenario)
+        validate_path(path, grid)
+        assert path.reached_goal and path.cells() == [(0, 2), (0, 3)]
+
+
+_SIDES = st.integers(1, 8), st.integers(1, 12)
+_RATIOS = st.one_of(
+    st.sampled_from([1.0, 1e-300, 5e-324]),
+    st.floats(-323.0, 0.0).map(lambda e: max(10.0**e, 5e-324)),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.one_of(st.tuples(st.just(1), _SIDES[1]), st.tuples(*_SIDES)),
+    st.integers(0, 2**32 - 1),
+    _RATIOS,
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.one_of(st.none(), st.floats(0.0, 1.0)),
+)
+def test_feasible_inputs_always_give_a_path(shape, seed, ratio, stiffness, sharpness, slack):
+    # judged by BFS: whenever a goal is reachable within the horizon, both
+    # decoders return a valid path that ends on a goal, whatever the goal
+    # weights, the motion model or the slack
+    rng = np.random.default_rng(seed)
+    grid = random_map(rng, *shape, float(rng.choice([0.0, 0.2, 0.4])))
+    free = free_cells(grid)
+    if len(free) < 2:
+        return
+    start, a, b = (free[k] for k in rng.integers(len(free), size=3))
+    distance = bfs_distance(grid, start, [a, b])
+    if distance is None:
+        return
+    t_min = distance + 1
+    horizon = None if slack is None else t_min + round(slack * t_min)
+    scenario = Scenario(
+        grid, start, [(a, 1.0), (b, ratio)], horizon=horizon,
+        sharpness=sharpness, stiffness=stiffness, seed=seed,
+    )
+    for plan in (sample_path, greedy_plan):
+        path = plan(scenario)
+        validate_path(path, grid)
+        assert path.reached_goal and path.steps[-1][1] in (a, b)
+        assert path.t_used <= (horizon or t_min)
 
 
 def test_sample_path_below_minimum_time_is_plainly_infeasible():
@@ -474,6 +567,19 @@ def test_scenario_validation():
     for sharpness in (1.0, 0.0, 1.5):
         with pytest.raises(ValueError, match="keeps no outward move"):
             Scenario(grid, (0, 0), [(2, 2)], sharpness=sharpness)
+
+
+@pytest.mark.parametrize("field, value, want", [
+    ("seed", -1, "seed must be a non-negative integer, got -1"),
+    ("stiffness", 1.5, "stiffness must be in [0, 1], got 1.5"),
+    ("stiffness", math.nan, "stiffness must be in [0, 1], got nan"),
+    ("stiffness", -0.1, "stiffness must be in [0, 1], got -0.1"),
+], ids=["seed-negative", "stiffness-1.5", "stiffness-nan", "stiffness-negative"])
+def test_scenario_refuses_values_that_would_fail_later(field, value, want):
+    grid = GridMap.empty(3, 3)
+    with pytest.raises(ValueError) as info:
+        Scenario(grid, (0, 0), [(2, 2)], **{field: value})
+    assert str(info.value) == want
 
 
 def test_validate_path_catches_violations():

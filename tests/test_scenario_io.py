@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from flowplan import (
@@ -157,6 +159,35 @@ def test_weighted_goals_survive_round_trip():
     first = parse_scenario(text)
     second = parse_scenario(serialize_scenario(first))
     assert first == second
+
+
+def test_goal_weights_a_hair_apart_survive_round_trip():
+    # normalized, the two weights differ by 5e-14
+    first = parse_scenario("goal_weights = 1,1.0000000000001\n---\nS.G\n..G\n")
+    assert first.goals[0][1] != first.goals[1][1]
+    second = parse_scenario(serialize_scenario(first))
+    assert first == second
+
+
+@pytest.mark.parametrize("agent_id", [0, 10, -1])
+def test_agent_ids_without_a_grid_digit_are_refused_by_the_serializer(agent_id):
+    world = parse_scenario(scenarios.load("corridor"))
+    agents = (replace(world.agents[0], agent_id=agent_id), *world.agents[1:])
+    with pytest.raises(ValueError, match=f"agent id {agent_id} has no grid digit"):
+        serialize_scenario(replace(world, agents=agents))
+
+
+@pytest.mark.parametrize("line, message", [
+    ("seed = -1", "seed must be a non-negative integer, got -1"),
+    ("lambda = 1.5", "stiffness must be in [0, 1], got 1.5"),
+    ("lambda = nan", "stiffness must be in [0, 1], got nan"),
+], ids=["seed", "lambda-1.5", "lambda-nan"])
+def test_seed_and_stiffness_are_refused_at_their_header_line(line, message):
+    for grid in ("S.G\n", "1.a\n2.b\n"):
+        with pytest.raises(ScenarioParseError) as err:
+            parse_scenario(f"horizon = auto\n{line}\n---\n{grid}")
+        assert err.value.line == 2
+        assert str(err.value) == f"line 2: {message}"
 
 
 def test_missing_separator_after_header_is_reported():
