@@ -145,7 +145,10 @@ def test_kappa_one_is_refused_at_its_header_line(tmp_path, capsys):
     assert "keeps no outward move" in err
 
 
-@pytest.mark.parametrize("line", ["seed = -1", "lambda = 1.5", "lambda = nan"])
+@pytest.mark.parametrize(
+    "line", ["seed = -1", "lambda = 1.5", "lambda = nan"],
+    ids=["seed", "lambda-1.5", "lambda-nan"],
+)
 def test_bad_seed_and_stiffness_exit_two_at_their_header_line(tmp_path, capsys, line):
     f = tmp_path / "bad.txt"
     f.write_text(f"horizon = auto\n{line}\n---\nS.G\n", encoding="utf-8")
