@@ -4,7 +4,9 @@ Both decoders precompute one backward chain, on the tube of cells a path
 from the start can reach by each slice (``engine._tube``), then walk the
 horizon forward: at each slice they restart the forward message as a
 delta on the committed (cell, action) pair and score every next pair on
-its 3 x 3 neighbourhood by that delta's move times the chain.  The greedy
+its 3 x 3 neighbourhood by that delta's move times the chain.  The move
+is the engine's forward step on the transition kernel cropped to that
+neighbourhood, the only cells it reaches, not on the whole grid.  The greedy
 planner reads the log-domain max-product chain and commits the argmax.
 This is the Viterbi decoder, so the committed path is a single most
 likely trajectory, not a sequence of marginal argmaxes.  ``sample_path``
@@ -15,7 +17,7 @@ turns the planner into a generator of plausible paths.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf, isfinite, log
+from math import fsum, inf, isfinite, log
 from typing import MutableSequence, Sequence
 
 import numpy as np
@@ -68,15 +70,22 @@ def _normalized_goals(goals: GoalSpec) -> tuple[tuple[Cell, float], ...]:
     for _, w in pairs:
         if not isfinite(w):
             raise InvalidGoalError(f"goal weights must be finite, got {w}")
-    total = sum(w for _, w in pairs)
-    if total <= 0.0 or any(w <= 0.0 for _, w in pairs):
+    cells, weights = zip(*pairs)
+    if any(w <= 0.0 for w in weights):
         raise InvalidGoalError("goal weights must be positive")
-    if total == inf:
+    if sum(weights) == inf:
         # finite weights whose sum overflows: scale by the largest first
-        top = max(w for _, w in pairs)
-        pairs = [(cell, w / top) for cell, w in pairs]
-        total = sum(w for _, w in pairs)
-    pairs = [(cell, w / total) for cell, w in pairs]
+        top = max(weights)
+        weights = [w / top for w in weights]
+    total = fsum(weights)
+    weights = [w / total for w in weights]
+    if fsum(weights) != 1.0:
+        # give the largest weight the rounded complement of the others: the
+        # exact sum then rounds to 1, so normalizing again divides by 1.0
+        # and changes nothing (a parsed scenario reparses as itself)
+        k = weights.index(max(weights))
+        weights[k] = fsum([1.0, *(-w for j, w in enumerate(weights) if j != k)])
+    pairs = list(zip(cells, weights))
     for cell, w in pairs:
         if w == 0.0:
             raise InvalidGoalError(
@@ -257,12 +266,22 @@ def _forward_move(
 ) -> np.ndarray:
     """The forward values one move after the (cell, action) delta (a free
     heading is uniform) on ``cells``, a box that holds every cell the move
-    can reach: cells at the final slice, else pairs."""
+    can reach: cells at the final slice, else pairs.
+
+    The engine steps run on the kernel cropped to ``cells``, with the delta
+    at the cell's place in that box.  A delta has one source cell, so each
+    moved product is the whole grid's; its stencil reaches no cell outside
+    the box, since entries off the grid are zero.  Only the normalizing
+    total may round differently from a whole-grid step."""
+    kernel = setup.kernel
+    grid = GridMap.from_mask(kernel.grid.mask[cells])
+    box = TransitionKernel(grid, kernel.stencils[cells])
+    local = (cell[0] - cells[0].start, cell[1] - cells[1].start)
     pi = None if action is None else np.eye(N_ACTIONS)[action]
-    f = engine.initial_forward(setup.kernel, cell, pi)
+    f = engine.initial_forward(box, local, pi)
     if final:
-        return engine.forward_final(f, setup.kernel)[cells]
-    return engine.forward_step(f, setup.kernel, setup.p_action).values[cells]
+        return engine.forward_final(f, box)
+    return engine.forward_step(f, box, setup.p_action).values
 
 
 def _commit_next(

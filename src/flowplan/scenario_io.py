@@ -28,7 +28,14 @@ import numpy as np
 from .errors import ScenarioParseError
 from .grid import GridMap, _check_stiffness
 from .multiagent import AgentSpec
-from .planner import POLICIES, POLICY_WAIT, Scenario, _check_seed, _check_sharpness
+from .planner import (
+    POLICIES,
+    POLICY_WAIT,
+    Scenario,
+    _check_seed,
+    _check_sharpness,
+    _normalized_goals,
+)
 
 _DEFAULTS = {
     "horizon": "auto",
@@ -273,7 +280,9 @@ def _serialize_single(sc: Scenario) -> str:
     if sc.t_max is not None:
         header.append(f"t_max = {sc.t_max}")
     weights = [w for _, w in ordered]
-    if len(set(weights)) > 1:
+    # omitted only where unit weights normalize to the same ones: equal
+    # weights need not (three weights of 349525.96 normalize to 1/3 + 1 ulp)
+    if weights != [w for _, w in _normalized_goals([cell for cell, _ in ordered])]:
         header.append("goal_weights = " + ",".join(repr(w) for w in weights))
     body = "\n".join("".join(r) for r in rows)
     return "\n".join(header) + "\n---\n" + body + "\n"

@@ -22,9 +22,10 @@ from flowplan import (
     path_likelihood,
     sample_path,
     scenario_flows,
+    simulate,
     validate_path,
 )
-from flowplan import engine
+from flowplan import engine, planner
 from flowplan.grid import ACTIONS, N_ACTIONS
 from flowplan.oracle import bfs_distance, enumerate_paths
 from flowplan.planner import _commit_next, build_setup, resolve_horizon
@@ -417,6 +418,70 @@ def test_sample_path_draws_on_the_neighbourhood_only(monkeypatch):
     # 3 x 3 x 9 pairs per slice, the free first heading's 9 after the first,
     # and 3 x 3 cells at the final slice
     assert sizes == [81, 9] + [81] * (len(want) - 3) + [9]
+
+
+_WALLED = GridMap.from_mask(np.array([
+    [0, 0, 1, 0, 0, 0],
+    [0, 1, 0, 0, 1, 0],
+    [0, 0, 0, 1, 0, 0],
+    [1, 0, 0, 0, 0, 1],
+    [0, 0, 1, 0, 0, 0],
+], dtype=np.uint8))
+
+
+@pytest.mark.parametrize(
+    "grid", [_WALLED, GridMap.empty(1, 6), GridMap.empty(6, 1)], ids=["walled", "1xN", "Nx1"]
+)
+def test_forward_move_is_the_whole_grid_step_on_its_box(grid):
+    # the move runs on the kernel cropped to the cell's 3 x 3 box; the
+    # whole-grid restart has all of its mass there and equals it up to the
+    # rounding of the normalizing total
+    setup = build_setup(Scenario(grid, free_cells(grid)[0], [free_cells(grid)[-1]],
+                                 sharpness=0.7, stiffness=0.4))
+    kernel, p = setup.kernel, setup.p_action
+    for cell in free_cells(grid):
+        box = engine._around(cell, 1, kernel)
+        for action in (None, *range(N_ACTIONS)):
+            pi = None if action is None else np.eye(N_ACTIONS)[action]
+            f = engine.initial_forward(kernel, cell, pi)
+            for final in (False, True):
+                whole = (engine.forward_final(f, kernel) if final
+                         else engine.forward_step(f, kernel, p).values)
+                got = planner._forward_move(setup, cell, action, final, box)
+                want = whole[box]
+                assert got.shape == want.shape
+                np.testing.assert_array_equal(got > 0.0, want > 0.0)
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+                assert want.sum() == pytest.approx(1.0, rel=1e-12)
+
+
+def test_decoders_restart_the_forward_message_on_a_3x3_kernel(monkeypatch):
+    # a structural guard: no decoder step, single-agent or multi-agent,
+    # restarts the forward message on the whole grid
+    rng = np.random.default_rng(11)
+    mask = (rng.random((30, 30)) < 0.15).astype(np.uint8)
+    mask[[1, 1, 28, 28, 3, 26], [1, 28, 28, 1, 15, 15]] = 0
+    grid = GridMap.from_mask(mask)
+    shapes = []
+    initial_forward = engine.initial_forward
+
+    def recording(kernel, *args, **kwargs):
+        shapes.append((kernel.grid.rows, kernel.grid.cols))
+        return initial_forward(kernel, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "initial_forward", recording)
+    scenario = Scenario(grid, (1, 1), [(28, 28)], seed=5)
+    agents = [AgentSpec(1, (1, 1), [(28, 28)]), AgentSpec(2, (28, 1), [(1, 28)]),
+              AgentSpec(3, (3, 15), [(26, 15)])]
+    calls = []
+    assert greedy_plan(scenario).reached_goal
+    calls.append(len(shapes))
+    assert sample_path(scenario).reached_goal
+    calls.append(len(shapes))
+    assert not simulate(agents, grid, t_max=120).timed_out
+    calls.append(len(shapes))
+    assert 0 < calls[0] < calls[1] < calls[2]  # each run restarted the message
+    assert max(rows for rows, _ in shapes) <= 3 and max(cols for _, cols in shapes) <= 3
 
 
 def test_path_likelihood_still_chain_closed_form():

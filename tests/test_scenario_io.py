@@ -3,6 +3,8 @@ from __future__ import annotations
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowplan import (
     InvalidGoalError,
@@ -167,6 +169,34 @@ def test_goal_weights_a_hair_apart_survive_round_trip():
     assert first.goals[0][1] != first.goals[1][1]
     second = parse_scenario(serialize_scenario(first))
     assert first == second
+
+
+def _weighted_text(weights) -> str:
+    header = "goal_weights = " + ",".join(repr(float(w)) for w in weights)
+    return header + "\n---\nS.G.G\n..G.G\n".replace("G", ".", 4 - len(weights))
+
+
+@pytest.mark.parametrize("weights", [
+    # normalized by their float sum, these did not sum to 1 again, so
+    # normalizing them once more moved the first one's last digit
+    [1.0001288936664803, 0.9992154613701554, 0.012381744486666624],
+    # equal, but not normalized to what the same goals without weights get
+    [349525.9617646261] * 3,
+])
+def test_normalized_goal_weights_survive_round_trip(weights):
+    first = parse_scenario(_weighted_text(weights))
+    second = parse_scenario(serialize_scenario(first))
+    assert first == second
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(1e-150, 1e150), min_size=2, max_size=4))
+def test_random_goal_weights_survive_round_trip(weights):
+    first = parse_scenario(_weighted_text(weights))
+    text = serialize_scenario(first)
+    second = parse_scenario(text)
+    assert first == second
+    assert serialize_scenario(second) == text
 
 
 @pytest.mark.parametrize("agent_id", [0, 10, -1])
