@@ -28,14 +28,8 @@ import numpy as np
 from .errors import ScenarioParseError
 from .grid import GridMap, _check_stiffness
 from .multiagent import AgentSpec
-from .planner import (
-    POLICIES,
-    POLICY_WAIT,
-    Scenario,
-    _check_seed,
-    _check_sharpness,
-    _normalized_goals,
-)
+from .planner import POLICIES, POLICY_WAIT, Scenario, _check_seed, _check_sharpness
+from .planner import _normalized_goals
 
 _DEFAULTS = {
     "horizon": "auto",
