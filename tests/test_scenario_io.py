@@ -172,6 +172,7 @@ def test_goal_weights_a_hair_apart_survive_round_trip():
 
 
 def _weighted_text(weights) -> str:
+    # one goal cell per weight: the last len(weights) of the four G cells
     header = "goal_weights = " + ",".join(repr(float(w)) for w in weights)
     return header + "\n---\nS.G.G\n..G.G\n".replace("G", ".", 4 - len(weights))
 
