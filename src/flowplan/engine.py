@@ -17,15 +17,16 @@ any horizon, and -inf marks exactly the pairs that cannot reach the goal.
 Every pass is one 3 x 3 stencil loop (``_shift``) over a semiring, in
 the sense of Aji and McEliece's generalized distributive law: (0, +, x)
 for the sum-product messages, the same on bools (OR, AND) for the support
-``min_time`` propagates, and (-inf, max, +) and (-inf, log-sum-exp, +) on
-logs for the max-product chain and for a sum-product one that cannot
-underflow.  Every sweep spreads the stencil per slice from a seed: the start
-cell for the forward flow, the bounding box of the goal's support for the
-backward ones.  Each pass runs only on its input's box grown by one cell
-and clipped to the grid (the support window), which becomes the whole
-grid once it reaches every edge.  Cells outside the window would only
-receive the semiring's zero, and normalizing sums still run over the full
-arrays, so every result is bit-identical to a whole-grid pass.
+``min_time`` propagates (of cells, or of (cell, action) pairs), and
+(-inf, max, +) and (-inf, log-sum-exp, +) on logs for the max-product
+chain and for a sum-product one that cannot underflow.  Every sweep
+spreads the stencil per slice from a seed: the start cell for the forward
+flow, the bounding box of the goal's support for the backward ones.
+Each pass runs only on its input's box grown by one cell and clipped to
+the grid (the support window), which becomes the whole grid once it
+reaches every edge.  Cells outside the window would only receive the
+semiring's zero, and normalizing sums still run over the full arrays, so
+every result is bit-identical to a whole-grid pass.
 
 The public sum-product messages are whole-grid arrays that carry the box
 of their support; a tensor built by a caller has no box and is treated as
@@ -36,10 +37,12 @@ window (``_Crop``), the semiring's zero elsewhere.
 Both ends are used where only reachability or one path matters.
 ``min_time`` grows boolean support from the start and from the goal,
 always on the side with the smaller window, and stops where the two
-meet.  The decoders' backward chain (``_tube``, max-product for the
-greedy one, sum-product normalized per slice for sampling) runs each
-slice only on the cells a path from the start can reach by then, the
-tube between the two cones.
+meet; with a free start action and no zero in ``p_action`` every action
+of a reached cell is reached, so it grows the support of cells alone.
+The decoders' backward chain (``_tube``, max-product for the greedy one,
+sum-product normalized per slice for sampling) runs each slice only on
+the cells a path from the start can reach by then, the tube between the
+two cones.
 """
 
 from __future__ import annotations
@@ -521,18 +524,30 @@ def min_time(
     (``_until_start``): it raises at the first B_j equal to B_(j-1), a
     fixed point that never touched the start, and after the last gather
     ``t_max`` allows.
+
+    With a free start action and every entry of ``p_action`` positive,
+    the boolean mix after each pass is an ``any`` over actions, so both
+    sides propagate cells instead, M_j for B_j, one value per cell, on
+    ``TransitionKernel.cell_support`` and unmixed: a pass on the cells
+    gives exactly the mixed pass on the pairs, and an unpinned start meets
+    B_j where it meets M_j.  The (cell, action) ``support`` is not built.
+    ``_until_start`` keeps B's stopping rules (see there).
     """
     goal = _checked_start_goal(kernel, start_cell, goal, t_max)
     if goal[start_cell] > 0.0:
         return 1
-    mix_forward, mix_backward = _support_mixers(p_action)
-    f = _start_pairs(kernel, start_cell, start_action)  # F_0
-    forward = _sweep(kernel, f, kernel.support, False, _SUM, mix_forward)
     box = _box_of(goal > 0.0)
     seed = _Crop(box, (goal[box] > 0.0)[:, :, None], False)
+    if start_action is None and (np.asarray(p_action) > 0.0).all():
+        # the mix would reach every action of a cell: sweep the cells
+        stencils, mixes, cells = kernel.cell_support, (_unmixed,) * 2, seed
+    else:
+        stencils, mixes, cells = kernel.support, _support_mixers(p_action), None
+    f = _start_pairs(kernel, start_cell, start_action)  # F_0
+    forward = _sweep(kernel, f, stencils, False, _SUM, mixes[0])
     backward = _until_start(
-        _sweep(kernel, seed, kernel.support, True, _SUM, mix_backward),
-        kernel, start_cell, start_action, t_max,
+        _sweep(kernel, seed, stencils, True, _SUM, mixes[1]),
+        kernel, start_cell, start_action, t_max, cells,
     )
     b, moves = next(backward), 1
     while not _meets(f, b):
@@ -551,15 +566,21 @@ def min_time(
 
 
 def _support_mixers(p_action: np.ndarray) -> tuple[_Mix, _Mix]:
-    """The boolean action mix, forward (a heading moved in, to the headings
-    it may switch to) and backward (a heading, to those that may switch
-    to it).  Without a zero entry in ``p_action`` every switch is allowed,
-    an ``any`` over actions kept as one plane; other matrices take a 9 x 9
-    product."""
+    """The boolean action mix of a sweep on ``TransitionKernel.support``,
+    forward (a heading moved in, to the headings it may switch to) and
+    backward (a heading, to those that may switch to it).  Without a zero
+    entry in ``p_action`` every switch is allowed, an ``any`` over actions
+    kept as one plane; other matrices take a 9 x 9 product.  ``min_time``
+    uses it only with a pinned start action or a zero entry: otherwise it
+    sweeps ``cell_support``, which needs no mix."""
     allowed = np.asarray(p_action) > 0.0
     if allowed.all():
         return (lambda v: v.any(axis=2, keepdims=True),) * 2  # both ways
     return (lambda v: v @ allowed), (lambda v: v @ allowed.T)
+
+
+def _unmixed(values: np.ndarray) -> np.ndarray:
+    return values
 
 
 def _meets(f: _Crop, b: _Crop) -> bool:
@@ -719,6 +740,7 @@ def _until_start(
     start_cell: Cell,
     start_action: int | None,
     t_max: int,
+    cells: _Crop | None = None,
 ) -> Iterator[_Crop]:
     """Crops of an unclipped backward sweep up to the first whose support,
     its entries other than the semiring's zero, meets the start pairs.
@@ -727,18 +749,31 @@ def _until_start(
     support stops changing without touching the start.  Each crop's window
     holds the one before it, so comparing the supports on the crops
     compares the same sets the whole-grid slices would (``_repeats``).
+
+    Given ``cells``, the goal's cells, the sweep is one on
+    ``cell_support`` from them: its j-th crop M_j is the ``any`` over
+    actions of the (cell, action) support B_j, and the stopping rules stay
+    those of B.  M_j = M_(j-1) gives B_(j+1) = B_j, but may come one
+    gather before B_j = B_(j-1); so the first repeat of M is checked on
+    the pairs (``_pairs_repeat``), and if they lag, B repeats at the next
+    gather.
     """
     # any backward support needs at most one sweep of the joint space
     hard_cap = kernel.grid.rows * kernel.grid.cols * N_ACTIONS + 1
     start = _start_pairs(kernel, start_cell, start_action)
-    previous = None
+    older = previous = None
     for gathers, crop in enumerate(sweep, start=1):
         sup = _Crop(crop.box, crop.values != crop.zero, False)
         if _repeats(previous, sup):
-            raise UnreachableError(
-                f"backward support reached a fixed point without touching "
-                f"{start_cell}"
-            )
+            # M_(j-2) is the goal's cells at the second gather
+            if cells is None or _pairs_repeat(
+                kernel, older or cells, previous, sup.box
+            ):
+                raise UnreachableError(
+                    f"backward support reached a fixed point without touching "
+                    f"{start_cell}"
+                )
+            cells = None
         yield crop
         if _meets(start, sup):
             return
@@ -746,4 +781,17 @@ def _until_start(
             raise UnreachableError(
                 f"no backward mass at {start_cell} within horizon {t_max}"
             )
-        previous = sup
+        older, previous = previous, sup
+
+
+def _pairs_repeat(
+    kernel: TransitionKernel, older: _Crop, previous: _Crop, window: Box
+) -> bool:
+    """Whether B_j, the (cell, action) support gathered on ``window`` from
+    the cell crop ``previous`` (M_(j-1)), holds the same pairs as B_(j-1),
+    gathered on the window of ``previous`` from ``older`` (M_(j-2))."""
+    support = kernel.stencils[window] > 0.0
+    inner = previous.box
+    before = _shift(older[inner], support[_relative(inner, window)], True)
+    after = _shift(previous[window], support, True)
+    return _repeats(_Crop(inner, before, False), _Crop(window, after, False))

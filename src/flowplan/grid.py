@@ -191,6 +191,8 @@ class TransitionKernel:
     C-contiguous (3, 3, rows, cols, N_ACTIONS) array, its
     ``.transpose(3, 4, 0, 1, 2)``, so ``stencils[..., u, v]`` is the
     contiguous plane of offset (u, v) that ``engine._shift`` reads in order.
+    The boolean planes derived from them (``support`` and ``cell_support``)
+    and their log (``log_stencils``) are cached in the same layout.
     """
 
     grid: GridMap
@@ -202,6 +204,19 @@ class TransitionKernel:
         support = self.stencils > 0.0
         support.flags.writeable = False
         return support
+
+    @cached_property
+    def cell_support(self) -> np.ndarray:
+        """Whether some action moves from the cell along the offset,
+        ``support.any(axis=2, keepdims=True)`` of shape (rows, cols, 1, 3, 3),
+        computed once, in the same offset-major layout, without ``support``:
+        a sum of nonnegative stencil entries is positive exactly where one
+        of them is.  ``engine.min_time`` sweeps it when every (cell, action)
+        pair of a cell is reached together."""
+        planes = self.stencils.transpose(3, 4, 0, 1, 2)
+        cells = (planes @ np.ones(N_ACTIONS) > 0.0)[..., None]
+        cells.flags.writeable = False
+        return cells.transpose(2, 3, 4, 0, 1)
 
     @cached_property
     def log_stencils(self) -> np.ndarray:

@@ -5,13 +5,14 @@ from itertools import islice
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowplan import (
     DeadFlowError,
     GridMap,
     InvalidGoalError,
+    KernelDegenerateError,
     MessageTensor,
     UnreachableError,
     action_matrix,
@@ -39,7 +40,7 @@ from flowplan.engine import (
     _shift,
     backward_flow,
 )
-from flowplan.grid import ACTION_BY_NAME, N_ACTIONS
+from flowplan.grid import ACTION_BY_NAME, ACTIONS, N_ACTIONS
 from flowplan.oracle import bfs_distance, dense_chain, dense_messages
 
 from conftest import feasible_instance, free_cells, random_map
@@ -200,9 +201,12 @@ def test_windowed_passes_equal_the_whole_grid_pass(shape, sharpness, seed, data)
     kind = data.draw(st.sampled_from(["0", "0.5", "1", "general"]))
     p_sweep = _p_action(kind, np.random.default_rng([seed, 1]))
     mix_forward, mix_backward = engine._support_mixers(p_sweep)
+    cells = x.any(axis=2, keepdims=True)
     for seed_values, s, gather, semiring, mix in (
         (x > 0.0, support, False, _SUM, mix_forward),
         (x > 0.0, support, True, _SUM, mix_backward),
+        (cells, kernel.cell_support, False, _SUM, engine._unmixed),
+        (cells, kernel.cell_support, True, _SUM, engine._unmixed),
         (_log(x), log_stencils, True, _MAX, engine._max_mixer(p_sweep)),
         (_log(x), log_stencils, True, _LSE, engine._lse_mixer(p_sweep)),
     ):
@@ -285,27 +289,79 @@ def _p_action(kind: str, rng) -> np.ndarray:
     return p / p.sum(axis=1, keepdims=True)
 
 
+def _text_map(lines) -> GridMap:
+    return GridMap.from_mask([[c == "#" for c in line] for line in lines])
+
+
+@st.composite
+def _layouts(draw):
+    """A random map as rows of text, with four (start, goals) queries on its
+    free cells; a third of the maps is a single row or a single column."""
+    rows, cols = draw(SHAPES)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = rng.random((rows, cols)) < float(rng.choice([0.0, 0.2, 0.4]))
+    mask[rng.integers(rows), rng.integers(cols)] = False
+    free = [tuple(int(v) for v in c) for c in np.argwhere(~mask)]
+    lines = tuple("".join(".#"[int(v)] for v in row) for row in mask)
+    queries = tuple(
+        (free[rng.integers(len(free))],
+         tuple(free[k] for k in rng.integers(len(free), size=int(rng.integers(1, 3)))))
+        for _ in range(4)
+    )
+    return lines, queries
+
+
+def _masks(kind: str, rng) -> dict:
+    """``default_masks`` at a random sharpness, or masks with random zero
+    entries: ``"zeros"`` keeps some mass on the current cell, ``"no
+    residue"`` none, but some on each of its four sides, so that a free
+    cell with a free side keeps some mass."""
+    if kind == "default":
+        return default_masks(float(rng.uniform(0.05, 0.95)))
+    masks = {}
+    for action in ACTIONS:
+        m = rng.random((3, 3)) * (rng.random((3, 3)) < 0.5)
+        if kind == "zeros":
+            m[1, 1] += 0.1
+        else:
+            m[1, 1] = 0.0
+            m[[0, 1, 1, 2], [1, 0, 2, 1]] += 0.1
+        masks[action] = m / m.sum()
+    return masks
+
+
+# the cells repeat one gather before the (cell, action) pairs do, and the
+# horizon ends in between: a repeat of the cells alone says "fixed point"
+_CELLS_LEAD = [
+    (("..#####.#",), (0, 7), (0, 1), 3),
+    (("..##....#", "#.#...##."), (0, 1), (0, 6), 5),
+]
+
+
 @settings(max_examples=150, deadline=None)
 @given(
-    SHAPES,
+    _layouts(),
     st.integers(0, 2**32 - 1),
     st.sampled_from(["0", "0.5", "1", "general"]),
+    st.sampled_from(["default", "zeros", "no residue"]),
     st.integers(0, N_ACTIONS - 1),
     st.one_of(st.integers(2, 12), st.just(1000)),
 )
-def test_min_time_meets_the_one_sided_sweep(shape, seed, p_kind, pinned, t_max):
-    rows, cols = shape
+@example((("..#####.#",), (((0, 7), ((0, 1),)),)), 0, "0", "default", 0, 3)
+@example((("..##....#", "#.#...##."), (((0, 1), ((0, 6),)),)), 0, "0", "default", 0, 5)
+def test_min_time_meets_the_one_sided_sweep(
+    layout, seed, p_kind, masks_kind, pinned, t_max
+):
+    lines, queries = layout
+    grid = _text_map(lines)
     rng = np.random.default_rng(seed)
-    grid = random_map(rng, rows, cols, float(rng.choice([0.0, 0.2, 0.4])))
-    free = free_cells(grid)
-    if not free:
-        return
-    kernel = build_kernel(grid, default_masks(float(rng.uniform(0.05, 0.95))))
+    try:
+        kernel = build_kernel(grid, _masks(masks_kind, rng))
+    except KernelDegenerateError:
+        return  # a free cell walled in on four sides, under "no residue"
     p = _p_action(p_kind, rng)
-    for _ in range(4):
-        start = free[rng.integers(len(free))]
-        goals = [free[k] for k in rng.integers(len(free), size=int(rng.integers(1, 3)))]
-        goal = goal_marginal(goals, grid)
+    for start, goals in queries:
+        goal = goal_marginal(list(goals), grid)
         for heading in (None, pinned):
             want = _one_sided_min_time(kernel, p, start, goal, t_max, heading)
             try:
@@ -313,6 +369,47 @@ def test_min_time_meets_the_one_sided_sweep(shape, seed, p_kind, pinned, t_max):
             except UnreachableError as err:
                 got = str(err)
             assert got == want
+
+
+@pytest.mark.parametrize("lines, start, goal_cell, t_max", _CELLS_LEAD)
+def test_min_time_on_cells_keeps_the_pairs_message(lines, start, goal_cell, t_max):
+    grid = _text_map(lines)
+    kernel, p = build_kernel(grid), action_matrix(0.0)
+    goal = goal_marginal([goal_cell], grid)
+    want = _one_sided_min_time(kernel, p, start, goal, t_max, None)
+    assert want.startswith("no backward mass")
+    with pytest.raises(UnreachableError, match=re.escape(want)):
+        min_time(kernel, p, start, goal, t_max)
+
+
+def test_unpinned_min_time_sweeps_only_the_cell_plane(monkeypatch):
+    # a structural guard: with a free start action and no zero entry in
+    # p_action, every pass of min_time carries one value per cell and the
+    # (cell, action) support is never built
+    depths = []
+    shift = engine._shift
+
+    def recording(values, stencils, *args, **kwargs):
+        depths.append((values.shape[2], stencils.shape[2]))
+        return shift(values, stencils, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "_shift", recording)
+    grid, start, goal_cell, d = feasible_instance(
+        np.random.default_rng(5), 30, 30, 0.15, min_distance=20
+    )
+    goal = goal_marginal([goal_cell], grid)
+    for stiffness in (0.0, 0.5, 0.9):
+        kernel = build_kernel(grid)
+        p = action_matrix(stiffness)
+        assert min_time(kernel, p, start, goal, 1000) == d + 1
+        with pytest.raises(UnreachableError, match="within horizon"):
+            min_time(kernel, p, start, goal, d)
+        assert "support" not in vars(kernel)
+    assert depths and set(depths) == {(1, 1)}
+    # a pinned start action sweeps the pairs
+    depths.clear()
+    assert min_time(kernel, p, start, goal, 1000, start_action=0) >= d + 1
+    assert (N_ACTIONS, N_ACTIONS) in depths and "support" in vars(kernel)
 
 
 @pytest.mark.parametrize("t_max", [2, 3, 4, 5, 8, 1000])

@@ -297,11 +297,15 @@ def test_patched_kernel_is_a_rebuild_byte_for_byte(case):
         with pytest.raises(KernelDegenerateError, match=re.escape(str(err))):
             patch_kernel(base, dyn, masks)
         return
+    base.cell_support  # cached on the base, and not to be inherited
     patched = patch_kernel(base, dyn, masks)
     assert patched.grid is dyn
+    assert "cell_support" not in vars(patched)
     for got, want in (
         (patched.stencils, rebuilt.stencils),
         (patched.log_stencils, _log(rebuilt.stencils)),
+        (patched.cell_support, rebuilt.cell_support),
+        (rebuilt.cell_support, rebuilt.support.any(axis=2, keepdims=True)),
     ):
         # offset-major, read-only, and the same bits
         assert got.transpose(3, 4, 0, 1, 2).flags.c_contiguous
