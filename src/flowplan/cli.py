@@ -207,7 +207,7 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"cannot read scenario: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, PlanningError) as exc:
+    except (OSError, ValueError, PlanningError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -87,6 +87,11 @@ class MessageTensor:
         if self.kind not in (FORWARD, BACKWARD, POSTERIOR):
             raise ValueError(f"unknown message kind {self.kind!r}")
         values = np.asarray(self.values, dtype=float)
+        if values.ndim != 3 or values.shape[2] != N_ACTIONS:
+            raise ValueError(f"message values must be (rows, cols, 9): {values.shape}")
+        if values.flags.writeable:
+            # a copy, so that freezing it leaves the caller's array writable
+            values = values.copy()
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
@@ -180,7 +185,11 @@ def _area(box: Box) -> int:
     return (box[0].stop - box[0].start) * (box[1].stop - box[1].start)
 
 
-def _boxed(message: MessageTensor, box: Box) -> MessageTensor:
+def _message(values: np.ndarray, kind: str, box: Box) -> MessageTensor:
+    """An array the engine built, frozen so that the message keeps it
+    uncopied, as a message supported in ``box``."""
+    values.flags.writeable = False
+    message = MessageTensor(values, kind)
     object.__setattr__(message, "_box", box)
     return message
 
@@ -257,12 +266,20 @@ def _sum_mixer(p_action: np.ndarray) -> _Mix:
     return lambda v: (v / total if (total := v.sum()) > 0.0 else v) @ p_t
 
 
-def _forward_raw(
-    f_prev: MessageTensor, kernel: TransitionKernel, p_action: np.ndarray
-) -> tuple[np.ndarray, Box]:
+def _forward(
+    f_prev: MessageTensor, kernel: TransitionKernel, p_action: np.ndarray | None
+) -> tuple[np.ndarray, float, Box]:
+    """One forward move: the scatter of ``f_prev`` on its support window,
+    mixed over the previous action axis by ``p_action`` or, given None,
+    summed over actions for the final cell marginal.  Returns the values
+    normalized to mass 1, the total they were divided by, and the window."""
     window = _grow(f_prev._box, kernel)
     moved = _shift(f_prev.values, kernel.stencils, False, window)
-    return moved @ p_action, window  # mix over the previous action axis
+    out = moved.sum(axis=2) if p_action is None else moved @ p_action
+    total = out.sum()
+    if total == 0.0:
+        raise DeadFlowError("forward mass vanished (support on obstacles only)")
+    return out / total, total, window
 
 
 def forward_step(
@@ -273,11 +290,8 @@ def forward_step(
         raise ValueError("forward_step expects a forward message")
     if f_prev.is_dead:
         raise DeadFlowError("forward message has no mass")
-    out, window = _forward_raw(f_prev, kernel, p_action)
-    total = out.sum()
-    if total == 0.0:
-        raise DeadFlowError("forward mass vanished (support on obstacles only)")
-    return _boxed(MessageTensor(out / total, FORWARD), window)
+    out, _, window = _forward(f_prev, kernel, p_action)
+    return _message(out, FORWARD, window)
 
 
 def backward_step(
@@ -292,7 +306,7 @@ def backward_step(
     total = out.sum()
     if total > 0.0:
         out /= total
-    return _boxed(MessageTensor(out, BACKWARD), window)
+    return _message(out, BACKWARD, window)
 
 
 def backward_terminal(
@@ -305,7 +319,7 @@ def backward_terminal(
     total = out.sum()
     if total == 0.0:
         raise InvalidGoalError("goal mass sits entirely on obstacle cells")
-    return _boxed(MessageTensor(out / total, BACKWARD), window)
+    return _message(out / total, BACKWARD, window)
 
 
 def forward_final(
@@ -314,12 +328,7 @@ def forward_final(
     """Final forward cell marginal: last transition summed over actions."""
     if f_prev.is_dead:
         raise DeadFlowError("forward message has no mass")
-    window = _grow(f_prev._box, kernel)
-    out = _shift(f_prev.values, kernel.stencils, False, window).sum(axis=2)
-    total = out.sum()
-    if total == 0.0:
-        raise DeadFlowError("forward mass vanished (support on obstacles only)")
-    return out / total
+    return _forward(f_prev, kernel, None)[0]
 
 
 def posterior(f: MessageTensor, b: MessageTensor) -> MessageTensor:
@@ -339,7 +348,7 @@ def posterior(f: MessageTensor, b: MessageTensor) -> MessageTensor:
     total = out.sum()
     if total > 0.0:
         out[box] /= total
-    return _boxed(MessageTensor(out, POSTERIOR), box)
+    return _message(out, POSTERIOR, box)
 
 
 def uniform_actions() -> np.ndarray:
@@ -401,7 +410,7 @@ def initial_forward(
     grid = kernel.grid
     values = np.zeros((grid.rows, grid.cols, N_ACTIONS))
     values[start_cell[0], start_cell[1], :] = pi
-    return _boxed(MessageTensor(values, FORWARD), _around(start_cell, 0, kernel))
+    return _message(values, FORWARD, _around(start_cell, 0, kernel))
 
 
 def backward_flow(
@@ -442,20 +451,11 @@ def run_flows(
     forward = [initial_forward(kernel, start_cell, start_actions)]
     norms: list[float] = []
     for _ in range(2, horizon):
-        raw, window = _forward_raw(forward[-1], kernel, p_action)
-        total = raw.sum()
-        if total == 0.0:
-            raise DeadFlowError("forward mass vanished")
+        values, total, window = _forward(forward[-1], kernel, p_action)
         norms.append(total)
-        forward.append(_boxed(MessageTensor(raw / total, FORWARD), window))
-    window = _grow(forward[-1]._box, kernel)
-    final_raw = _shift(forward[-1].values, kernel.stencils, False, window)
-    final_raw = final_raw.sum(axis=2)
-    final_total = final_raw.sum()
-    if final_total == 0.0:
-        raise DeadFlowError("forward mass vanished at the final slice")
-    norms.append(final_total)
-    forward_fin = final_raw / final_total
+        forward.append(_message(values, FORWARD, window))
+    forward_fin, total, _ = _forward(forward[-1], kernel, None)
+    norms.append(total)
 
     backward = backward_flow(kernel, p_action, goal, horizon)
 

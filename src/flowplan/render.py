@@ -25,6 +25,7 @@ from .grid import GridMap
 
 #: argmax glyph per action index (0 = still, then the 8 directions)
 GLYPHS = ("·", "^", "u", ">", "n", "v", "b", "<", "p")
+_GLYPH_TABLE = np.array(GLYPHS)
 
 _UNIFORM_TOL = 1e-12
 
@@ -33,33 +34,28 @@ def render_frame(
     tensor: MessageTensor, grid: GridMap, format: str = "ascii"
 ) -> bytes:
     """Render one message tensor as UTF-8 ASCII art or a P6 pixmap."""
+    values = tensor.values
+    if values.shape[:2] != grid.mask.shape:
+        raise ValueError(f"tensor {values.shape} does not fit map {grid.mask.shape}")
     if format == "ascii":
-        return _render_ascii(tensor.values, grid)
+        return _render_ascii(values, grid)
     if format == "pixmap":
-        return _render_pixmap(tensor.values.sum(axis=2), grid)
+        return _render_pixmap(values.sum(axis=2), grid)
     raise ValueError(f"unknown format {format!r}")
 
 
 def _render_ascii(values: np.ndarray, grid: GridMap) -> bytes:
-    rows = []
-    for i in range(grid.rows):
-        chars = []
-        for j in range(grid.cols):
-            if grid.mask[i, j]:
-                chars.append("#")
-                continue
-            dist = values[i, j]
-            total = dist.sum()
-            if total == 0.0:
-                chars.append(" ")
-                continue
-            p = dist / total
-            if p.max() - p.min() <= _UNIFORM_TOL:
-                chars.append("+")
-            else:
-                chars.append(GLYPHS[int(np.argmax(p))])
-        rows.append("".join(chars))
-    return ("\n".join(rows) + "\n").encode("utf-8")
+    # contiguous, so that each cell's total sums its nine entries in the
+    # order a sum over that cell alone would
+    values = np.ascontiguousarray(values)
+    totals = values.sum(axis=2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = values / totals[:, :, None]
+    chars = _GLYPH_TABLE[p.argmax(axis=2)]
+    chars[p.max(axis=2) - p.min(axis=2) <= _UNIFORM_TOL] = "+"
+    chars[totals == 0.0] = " "
+    chars[grid.mask == 1] = "#"
+    return ("\n".join(map("".join, chars.tolist())) + "\n").encode("utf-8")
 
 
 def _render_pixmap(marginal: np.ndarray, grid: GridMap) -> bytes:

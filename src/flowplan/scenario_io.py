@@ -252,10 +252,7 @@ def serialize_scenario(obj: Scenario | WorldSpec) -> str:
 
 
 def _grid_chars(grid: GridMap) -> list[list[str]]:
-    return [
-        ["#" if grid.mask[i, j] else "." for j in range(grid.cols)]
-        for i in range(grid.rows)
-    ]
+    return np.where(grid.mask == 1, "#", ".").tolist()
 
 
 def _serialize_single(sc: Scenario) -> str:

@@ -1,11 +1,19 @@
 from __future__ import annotations
 
+import io
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path as FsPath
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowplan import GridMap, Path, validate_path
 from flowplan import scenarios
 from flowplan.cli import _build_parser, main
 from flowplan.grid import ACTION_BY_NAME
+from flowplan.scenario_io import parse_scenario
 
 
 @pytest.fixture
@@ -165,6 +173,15 @@ def test_missing_file_exits_two(capsys):
     assert main(["plan", "/nonexistent/path.txt"]) == 2
 
 
+def test_unreadable_file_and_unwritable_out_dir_exit_two(tmp_path, capsys, empty5_file):
+    assert main(["plan", str(tmp_path)]) == 2
+    assert "Is a directory" in capsys.readouterr().err
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    assert main(["flows", empty5_file, "--out-dir", str(blocker / "frames")]) == 2
+    assert "Not a directory" in capsys.readouterr().err
+
+
 def test_usage_error_exits_two(capsys):
     assert main(["warp", "x"]) == 2
 
@@ -240,3 +257,77 @@ def test_time_budgets_below_their_minimum_exit_two(tmp_path, capsys, corridor_fi
     single.write_text("t_max = 1\n---\nS.G\n", encoding="utf-8")
     assert main(["plan", str(single)]) == 2
     assert capsys.readouterr().err == "error: t_max must be at least 2\n"
+
+
+# header values (in range, out of range); the parser keeps the text as written
+_HEADER_VALUES = {
+    "horizon": (["auto", "2", "3", "6", "12", "30"], ["-1", "0", "1"]),
+    "kappa": (["0.8", "0.5", "0.05", "0.9999999999999999", "1e-300", "5e-324"],
+              ["0", "1", "-0.5", "1.5", "nan", "inf"]),
+    "lambda": (["0", "0.3", "1", "5e-324", "0.9999999999999999"],
+               ["-0.1", "1.5", "nan", "inf"]),
+    "seed": (["0", "7", "18446744073709551617"], ["-1"]),
+    "t_max": (["2", "3", "8", "1000000"], ["-5", "0", "1"]),
+    "policy": (["abort", "wait", "sample"], []),
+}
+_WEIGHTS = (["1", "0.5", "3", "1e300", "1e-300", "5e-324"], ["0", "-1", "nan", "inf"])
+
+
+def _header_value(draw, values: tuple[list[str], list[str]]) -> str:
+    inside, outside = values
+    return draw(st.sampled_from(outside if outside and draw(st.integers(0, 4)) == 0
+                                else inside))
+
+
+@st.composite
+def scenario_files(draw) -> str:
+    """Small single-agent files, 1 x N and N x 1 included, with S and G
+    anywhere (walled-off goals too) and header values in and out of range."""
+    rows, cols = draw(
+        st.sampled_from([(1, 2), (1, 6), (5, 1)])
+        | st.tuples(st.integers(1, 5), st.integers(1, 5))
+    )
+    cells = [(i, j) for i in range(rows) for j in range(cols)]
+    if len(cells) < 2:
+        cells.append((0, 1))
+        cols = 2
+    chars = {cell: draw(st.sampled_from(".....#")) for cell in cells}
+    marks = draw(st.lists(st.sampled_from(cells), min_size=2, max_size=4, unique=True))
+    chars[marks[0]] = "S"
+    for cell in marks[1:]:
+        chars[cell] = "G"
+    header = []
+    for key, values in _HEADER_VALUES.items():
+        if draw(st.booleans()):
+            header.append(f"{key} = {_header_value(draw, values)}")
+    if draw(st.booleans()):
+        n = len(marks) - 1 + draw(st.sampled_from([0, 0, 0, 1, -1]))
+        weights = [_header_value(draw, _WEIGHTS) for _ in range(n)]
+        header.append("goal_weights = " + ",".join(weights))
+    body = "\n".join(
+        "".join(chars[i, j] for j in range(cols)) for i in range(rows)
+    )
+    return "\n".join(header) + "\n---\n" + body + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenario_files())
+def test_every_generated_file_exits_zero_one_or_two(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        f = FsPath(tmp) / "scenario.txt"
+        f.write_text(text, encoding="utf-8")
+        for argv in (
+            ["plan", str(f)],
+            ["mintime", str(f)],
+            ["sample", str(f)],
+            ["flows", str(f), "--out-dir", str(FsPath(tmp) / "frames")],
+        ):
+            out = io.StringIO()
+            with redirect_stdout(out), redirect_stderr(io.StringIO()):
+                code = main(argv)
+            assert code in (0, 1, 2), argv
+            if argv[0] == "plan" and code == 0:
+                scenario = parse_scenario(text)
+                path = parse_csv_path(out.getvalue())
+                validate_path(path, scenario.grid)
+                assert path.steps[0][1] == scenario.start_cell

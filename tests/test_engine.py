@@ -113,6 +113,34 @@ def test_forward_step_rejects_dead_input(empty5):
         forward_step(dead, kernel, p)
 
 
+def test_run_flows_reports_vanished_mass_as_the_step_does(empty5):
+    # with the rows of p_action summing to 1 the scatter conserves mass, so
+    # only a matrix that drops it lets the forward mass vanish mid-flow
+    grid, kernel, _ = empty5
+    goal = goal_marginal([(4, 4)], grid)
+    with pytest.raises(DeadFlowError, match=r"^forward mass vanished \(support"):
+        run_flows(kernel, np.zeros((N_ACTIONS, N_ACTIONS)), (0, 0), goal, 5)
+
+
+def test_messages_copy_a_writable_input_and_keep_a_frozen_one():
+    values = np.zeros((2, 2, N_ACTIONS))
+    message = MessageTensor(values, FORWARD)
+    values[0, 0, 0] = 1.0  # the caller's array stays writable
+    assert message.is_dead and not message.values.flags.writeable
+    frozen = np.zeros((2, 2, N_ACTIONS))
+    frozen.flags.writeable = False
+    assert MessageTensor(frozen, FORWARD).values is frozen
+    # the engine freezes what it builds, so its messages hold those arrays
+    built = np.zeros((2, 2, N_ACTIONS))
+    assert engine._message(built, FORWARD, engine._WHOLE).values is built
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (3, 3, 4), (3, 3, 9, 1), (9,)])
+def test_messages_refuse_values_not_shaped_rows_cols_nine(shape):
+    with pytest.raises(ValueError, match=re.escape(str(shape))):
+        MessageTensor(np.ones(shape), FORWARD)
+
+
 def test_backward_step_keeps_free_support_positive(empty5):
     grid, kernel, p = empty5
     uniform = np.full((5, 5, N_ACTIONS), 1.0)
