@@ -89,8 +89,9 @@ class MessageTensor:
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 3 or values.shape[2] != N_ACTIONS:
             raise ValueError(f"message values must be (rows, cols, 9): {values.shape}")
-        if values.flags.writeable:
+        if values.flags.writeable or not values.flags.owndata:
             # a copy, so that freezing it leaves the caller's array writable
+            # and a write through another view cannot change the message
             values = values.copy()
         values.flags.writeable = False
         object.__setattr__(self, "values", values)

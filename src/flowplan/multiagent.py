@@ -5,10 +5,10 @@ obstacles (and optionally some other agents as goals).  Agents act one at
 a time inside a round; a move is visible to everyone scheduled after it,
 which rules out collisions by construction.  When an agent's replanned
 flow is infeasible it falls back to its policy, which is "wait" by
-default: emit a still action and try again next round.  The runners of
-an episode share the static map's kernel, and each agent-round patches
-it around the other agents (``grid.patch_kernel``) instead of building
-one.
+default: emit a still action and try again next round.  An episode
+builds the static map's kernel once per sharpness when it starts, and
+each agent-round patches it around the other agents
+(``grid.patch_kernel``) instead of building one.
 """
 
 from __future__ import annotations
@@ -131,36 +131,14 @@ def _goal_cells(spec: AgentSpec, others: Mapping[int, AgentSnapshot]):
     return pairs
 
 
-class _StaticKernels:
-    """The static map's kernel per sharpness, built once and shared by the
-    runners of an episode; every agent-round patches it for its dynamic
-    map.  A different grid starts over."""
-
-    def __init__(self):
-        self.grid: GridMap | None = None
-        self.kernels: dict[float, TransitionKernel] = {}
-
-    def patched(
-        self, grid: GridMap, dyn: GridMap, sharpness: float, masks: Mapping
-    ) -> TransitionKernel:
-        """``build_kernel(dyn, masks)``, where ``masks`` are the default
-        masks of ``sharpness`` and ``dyn`` is ``grid`` plus agents."""
-        if grid is not self.grid:
-            self.grid, self.kernels = grid, {}
-        base = self.kernels.get(sharpness)
-        if base is None:
-            base = self.kernels[sharpness] = build_kernel(grid, masks)
-        return patch_kernel(base, dyn, masks)
-
-
 class _AgentRunner:
-    """Replans one agent per round; caches its masks and action matrix."""
+    """Replans one agent per round, patching the static kernel ``base``."""
 
-    def __init__(self, spec: AgentSpec, kernels: _StaticKernels):
+    def __init__(self, spec: AgentSpec, masks: Mapping, base: TransitionKernel):
         self.spec = spec
-        self.masks = default_masks(spec.sharpness)
+        self.masks = masks
+        self.base = base
         self.p_action = action_matrix(spec.stiffness)
-        self.kernels = kernels
 
     def plan_step(
         self,
@@ -177,8 +155,7 @@ class _AgentRunner:
         initial action free.  One max-product sweep from the goal gives
         both the minimum horizon and the chain the step is decoded with;
         the step reads only its slice 2, so only the last two crops are
-        kept.  The kernel is the shared static one, patched around the
-        other agents.
+        kept.  The kernel is ``base`` patched around the other agents.
         The executed action is the stored heading, backfilled from the
         committed move when the heading was free.
         Falls back to a still step (or a forward sample, per policy)
@@ -202,7 +179,7 @@ class _AgentRunner:
         if goal[me.cell] > 0.0:
             return me.cell, STILL.index, None, True
 
-        kernel = self.kernels.patched(grid, dyn, spec.sharpness, self.masks)
+        kernel = patch_kernel(self.base, dyn, self.masks)
         horizon, backward = 1, deque(maxlen=2)  # slices 1 and 2
         try:
             for crop in engine._max_chain(
@@ -243,10 +220,15 @@ class _AgentRunner:
         return me.cell, STILL.index, STILL.index, False
 
 
-def _runners(specs: Sequence[AgentSpec]) -> dict[int, _AgentRunner]:
-    """One runner per agent, all sharing one set of static kernels."""
-    kernels = _StaticKernels()
-    return {s.agent_id: _AgentRunner(s, kernels) for s in specs}
+def _runners(specs: Sequence[AgentSpec], grid: GridMap) -> dict[int, _AgentRunner]:
+    """One runner per agent; the static map's kernel is built once per
+    sharpness and shared by the runners of that sharpness."""
+    static = {}
+    for s in specs:
+        if s.sharpness not in static:
+            masks = default_masks(s.sharpness)
+            static[s.sharpness] = masks, build_kernel(grid, masks)
+    return {s.agent_id: _AgentRunner(s, *static[s.sharpness]) for s in specs}
 
 
 def step_world(
@@ -266,7 +248,7 @@ def step_world(
     the moves of earlier ones.
     """
     if runners is None:
-        runners = _runners(specs)
+        runners = _runners(specs, grid)
     snapshots = state.by_id()
     remaining = t_max - state.time + 1
     for aid in order:
@@ -322,7 +304,7 @@ def simulate(
             raise ValueError(f"agent {s.agent_id} starts on an obstacle")
 
     rng = np.random.default_rng(seed)
-    runners = _runners(specs)
+    runners = _runners(specs, grid)
 
     snapshots = {}
     for s in specs:

@@ -451,14 +451,14 @@ def path_likelihood(path: Path, scenario: Scenario) -> float:
     t0, cell0, action0 = steps[0]
     if cell0 != scenario.start_cell:
         return -inf
+    if len(steps) == 1:
+        return 0.0  # one slice is the final one: a cell, without an action
     if scenario.start_action is not None:
         if action0 != scenario.start_action.index:
             return -inf
         total = 0.0
     else:
         total = log(1.0 / N_ACTIONS)  # free initial action
-    if len(steps) == 1:
-        return total
 
     for (t, cell, action), (_, nxt, nxt_action) in zip(steps, steps[1:]):
         if action is None:
@@ -478,16 +478,14 @@ def path_likelihood(path: Path, scenario: Scenario) -> float:
     return total
 
 
-def scenario_flows(scenario: Scenario, horizon: int | None = None) -> engine.FlowSet:
+def scenario_flows(scenario: Scenario) -> engine.FlowSet:
     """Full flow set for a scenario; handy for rendering and diagnostics."""
     setup = build_setup(scenario)
-    if horizon is None:
-        horizon = resolve_horizon(scenario, setup)
     return engine.run_flows(
         setup.kernel,
         setup.p_action,
         scenario.start_cell,
         setup.goal,
-        horizon,
+        resolve_horizon(scenario, setup),
         setup.start_actions,
     )

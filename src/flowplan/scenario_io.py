@@ -245,7 +245,13 @@ def _world_spec(grid, agent_starts, agent_goals, header) -> WorldSpec:
 
 
 def serialize_scenario(obj: Scenario | WorldSpec) -> str:
-    """Canonical text form; parse(serialize(parse(x))) == parse(x)."""
+    """Canonical text form; parse(serialize(parse(x))) == parse(x).
+
+    Raises ValueError, naming the reason, for what a file cannot hold:
+    marks off the free cells or sharing one, a pinned start action,
+    ``goal_stop=False``, and agents that are not increasing digits, differ
+    in settings, chase, or weight their goals.
+    """
     if isinstance(obj, Scenario):
         return _serialize_single(obj)
     return _serialize_world(obj)
@@ -255,12 +261,31 @@ def _grid_chars(grid: GridMap) -> list[list[str]]:
     return np.where(grid.mask == 1, "#", ".").tolist()
 
 
+def _mark(rows: list[list[str]], grid: GridMap, cell, ch: str) -> None:
+    """Write ``ch`` on a free ``cell`` that no earlier mark holds."""
+    if not grid.is_free(cell):
+        raise ValueError(f"{ch!r} at {cell} is not on a free cell")
+    held = rows[cell[0]][cell[1]]
+    if held != ".":
+        raise ValueError(f"{ch!r} at {cell} meets {held!r}: one character per cell")
+    rows[cell[0]][cell[1]] = ch
+
+
+def _unit_weights(goals) -> bool:
+    """Whether ``goals`` carry the weights that unweighted cells get."""
+    return tuple(goals) == _normalized_goals([cell for cell, _ in goals])
+
+
 def _serialize_single(sc: Scenario) -> str:
+    if sc.start_action is not None:
+        raise ValueError("a pinned start action has no header key")
+    if not sc.goal_stop:
+        raise ValueError("goal_stop=False has no header key")
     rows = _grid_chars(sc.grid)
-    rows[sc.start_cell[0]][sc.start_cell[1]] = "S"
+    _mark(rows, sc.grid, sc.start_cell, "S")
     ordered = sorted(sc.goals, key=lambda gw: gw[0])
     for cell, _ in ordered:
-        rows[cell[0]][cell[1]] = "G"
+        _mark(rows, sc.grid, cell, "G")
     header = [
         f"horizon = {'auto' if sc.horizon is None else sc.horizon}",
         f"kappa = {sc.sharpness}",
@@ -270,25 +295,33 @@ def _serialize_single(sc: Scenario) -> str:
     ]
     if sc.t_max is not None:
         header.append(f"t_max = {sc.t_max}")
-    weights = [w for _, w in ordered]
     # omitted only where unit weights normalize to the same ones: equal
     # weights need not (three weights of 349525.96 normalize to 1/3 + 1 ulp)
-    if weights != [w for _, w in _normalized_goals([cell for cell, _ in ordered])]:
-        header.append("goal_weights = " + ",".join(repr(w) for w in weights))
+    if not _unit_weights(ordered):
+        header.append("goal_weights = " + ",".join(repr(w) for _, w in ordered))
     body = "\n".join("".join(r) for r in rows)
     return "\n".join(header) + "\n---\n" + body + "\n"
 
 
 def _serialize_world(ws: WorldSpec) -> str:
+    ids = [spec.agent_id for spec in ws.agents]
+    for aid in ids:
+        if not 1 <= aid <= 9:
+            raise ValueError(f"agent id {aid} has no grid digit (1-9)")
+    if not ids or ids != sorted(set(ids)):
+        raise ValueError(f"agent ids {ids} are not one or more increasing digits")
+    for key in ("sharpness", "stiffness", "policy"):
+        if len({getattr(spec, key) for spec in ws.agents}) > 1:
+            raise ValueError(f"agents differ in {key}; a file holds one for all")
     rows = _grid_chars(ws.grid)
     for spec in ws.agents:
-        if not 1 <= spec.agent_id <= 9:
-            raise ValueError(f"agent id {spec.agent_id} has no grid digit (1-9)")
-        digit = _AGENT_DIGITS[spec.agent_id - 1]
-        rows[spec.start_cell[0]][spec.start_cell[1]] = digit
-        letter = _GOAL_LETTERS[spec.agent_id - 1]
+        if spec.chase:
+            raise ValueError(f"agent {spec.agent_id} chases; a file cannot say so")
+        if not _unit_weights(spec.goals):
+            raise ValueError(f"agent {spec.agent_id} weights its goals; a file cannot")
+        _mark(rows, ws.grid, spec.start_cell, _AGENT_DIGITS[spec.agent_id - 1])
         for cell, _ in spec.goals:
-            rows[cell[0]][cell[1]] = letter
+            _mark(rows, ws.grid, cell, _GOAL_LETTERS[spec.agent_id - 1])
     first = ws.agents[0]
     header = [
         f"kappa = {first.sharpness}",

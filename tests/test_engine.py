@@ -135,6 +135,19 @@ def test_messages_copy_a_writable_input_and_keep_a_frozen_one():
     assert engine._message(built, FORWARD, engine._WHOLE).values is built
 
 
+def test_a_read_only_view_of_a_writable_array_is_copied():
+    base = np.zeros((2, 2, N_ACTIONS))
+    view = base[:]
+    view.flags.writeable = False
+    message = MessageTensor(view, FORWARD)
+    base[0, 0, 0] = 1.0  # a write through the base leaves the message alone
+    assert message.is_dead and message.values is not view
+    # so is a frozen view of a frozen array: the message owns what it holds
+    frozen = np.zeros((2, 2, N_ACTIONS))
+    frozen.flags.writeable = False
+    assert MessageTensor(frozen[:], FORWARD).values.flags.owndata
+
+
 @pytest.mark.parametrize("shape", [(3, 3), (3, 3, 4), (3, 3, 9, 1), (9,)])
 def test_messages_refuse_values_not_shaped_rows_cols_nine(shape):
     with pytest.raises(ValueError, match=re.escape(str(shape))):

@@ -27,7 +27,7 @@ from flowplan import (
 )
 from flowplan import engine, planner
 from flowplan.grid import ACTIONS, N_ACTIONS
-from flowplan.oracle import bfs_distance, enumerate_paths
+from flowplan.oracle import bfs_distance, dense_chain, enumerate_paths
 from flowplan.planner import _commit_next, build_setup, resolve_horizon
 
 from conftest import feasible_instance, free_cells, random_map
@@ -234,6 +234,79 @@ def test_feasible_inputs_always_give_a_path(shape, seed, ratio, stiffness, sharp
         validate_path(path, grid)
         assert path.reached_goal and path.steps[-1][1] in (a, b)
         assert path.t_used <= (horizon or t_min)
+
+
+def _oracle_feasible(scenario: Scenario, t_max: int) -> list[bool]:
+    """Whether a path of exactly T slices can end on a goal, for T = 0 ..
+    t_max: boolean powers of the dense joint chain from the start pairs."""
+    setup = build_setup(scenario)
+    chain = dense_chain(setup.kernel, setup.p_action)
+    joint, to_state = chain.joint > 0.0, chain.to_state > 0.0
+    goal = setup.goal.reshape(-1) > 0.0
+    start = scenario.start_cell
+    pairs = np.zeros(chain.dim, bool)
+    base = (start[0] * scenario.grid.cols + start[1]) * N_ACTIONS
+    if scenario.start_action is None:
+        pairs[base : base + N_ACTIONS] = True
+    else:
+        pairs[base + scenario.start_action.index] = True
+    feasible = [False, bool(goal[base // N_ACTIONS])]
+    for _ in range(2, t_max + 1):
+        feasible.append(bool((pairs @ to_state & goal).any()))
+        pairs = pairs @ joint
+    return feasible
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([(1, 1), (1, 6), (5, 1)])
+    | st.tuples(st.integers(1, 5), st.integers(1, 6)),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.0, 0.5, 1.0]),
+    st.none() | st.sampled_from(ACTIONS),
+    st.integers(-3, 4),
+)
+def test_decoders_follow_the_dense_chain_at_any_stiffness_and_pinned_action(
+    shape, seed, stiffness, start_action, slack
+):
+    # judged by the dense chain, not by BFS: at stiffness 1 a pinned heading
+    # can leave a goal that BFS reaches out of reach; horizons run from
+    # below the minimum to four slices above it
+    rng = np.random.default_rng(seed)
+    grid = random_map(rng, *shape, float(rng.choice([0.0, 0.2, 0.4])))
+    free = free_cells(grid)
+    if not free:
+        return
+    start = free[rng.integers(len(free))]
+    # goals off the start, except on a map with one free cell
+    others = [c for c in free if c != start] or free
+    a, b = (others[k] for k in rng.integers(len(others), size=2))
+    scenario = Scenario(
+        grid, start, [(a, 1.0), (b, float(rng.choice([1.0, 0.1])))],
+        start_action=start_action, stiffness=stiffness, seed=seed,
+    )
+    cap = scenario.search_cap
+    feasible = _oracle_feasible(scenario, cap + 4)
+    t_min = feasible.index(True) if True in feasible[: cap + 1] else None
+    if t_min is None:
+        with pytest.raises(UnreachableError):
+            resolve_horizon(scenario)
+    else:
+        assert resolve_horizon(scenario) == t_min
+    horizon = max((t_min or 1) + slack, 1)
+    fixed = replace(scenario, horizon=horizon)
+    for plan in (sample_path, greedy_plan):
+        if not feasible[horizon]:
+            with pytest.raises(NoFeasiblePathError):
+                plan(fixed)
+            continue
+        path = plan(fixed)
+        validate_path(path, grid)
+        assert path.steps[0][1] == start
+        if start_action is not None and len(path.steps) > 1:
+            assert path.steps[0][2] == start_action.index
+        assert path.reached_goal and path.steps[-1][1] in (a, b)
+        assert path_likelihood(path, fixed) > -math.inf
 
 
 def test_sample_path_below_minimum_time_is_plainly_infeasible():
@@ -500,6 +573,18 @@ def test_path_likelihood_rejects_obstacle_hops():
     assert path_likelihood(bad, scenario) == -math.inf
 
 
+@pytest.mark.parametrize("start_action", [None, ACTIONS[0], ACTIONS[3]])
+def test_a_path_that_starts_on_its_goal_has_likelihood_one(start_action):
+    # the one slice is the final one, a cell without an action, so a pinned
+    # start action has nothing to disagree with
+    scenario = Scenario(GridMap.empty(1, 3), (0, 1), [(0, 1), (0, 2)],
+                        start_action=start_action)
+    for plan in (greedy_plan, sample_path):
+        path = plan(scenario)
+        assert path.steps == ((1, (0, 1), None),) and path.reached_goal
+        assert path_likelihood(path, scenario) == 0.0
+
+
 def test_path_likelihood_rejects_wrong_start():
     grid = GridMap.empty(3, 3)
     scenario = Scenario(grid, (0, 0), [(2, 2)])
@@ -542,10 +627,11 @@ def test_greedy_marginal_argmax_can_miss_the_single_best_trajectory():
     best_traj, best = max(trajectories, key=lambda tw: tw[1])
     best_route = [step[0] for step in best_traj[:-1]] + [best_traj[-1]]
     assert best_route == [(1, 2), (2, 1), (2, 0)]
-    marginal = scenario_flows(scenario, horizon=t_min).posterior[1].values
+    fixed = replace(scenario, horizon=t_min)
+    marginal = scenario_flows(fixed).posterior[1].values
     assert np.unravel_index(np.argmax(marginal), marginal.shape) == (1, 1, 6)
 
-    path = greedy_plan(replace(scenario, horizon=t_min))
+    path = greedy_plan(fixed)
     got = math.exp(path_likelihood(path, scenario))
     assert path.reached_goal and path.transitions == 2
     assert path.cells() == best_route

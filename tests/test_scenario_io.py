@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
 from flowplan import (
+    ACTIONS,
+    AgentSpec,
+    GridMap,
     InvalidGoalError,
     Scenario,
     ScenarioParseError,
@@ -15,6 +20,7 @@ from flowplan import (
     serialize_scenario,
 )
 from flowplan import scenarios
+from flowplan.planner import POLICIES
 
 
 MINIMAL = """horizon = auto
@@ -236,3 +242,187 @@ def test_sharpness_outside_the_open_unit_interval_is_refused(kappa):
     assert "sharpness must be in (0, 1)" in str(err.value)
     with pytest.raises(ScenarioParseError):
         parse_scenario(f"kappa = {kappa}\n---\n1.a\n")
+
+
+_SMALL = GridMap.empty(2, 3)
+
+
+def _world(*agents: AgentSpec) -> WorldSpec:
+    return WorldSpec(GridMap.empty(3, 3), agents, t_max=20)
+
+
+@pytest.mark.parametrize("obj, message", [
+    (Scenario(_SMALL, (0, 0), [(0, 0), (1, 2)]),
+     r"'G' at \(0, 0\) meets 'S'"),
+    (Scenario(_SMALL, (0, 0), [((1, 1), 1.0), ((1, 1), 3.0)]),
+     r"'G' at \(1, 1\) meets 'G'"),
+    (Scenario(_SMALL, (0, 0), [(1, 2)], start_action=ACTIONS[3]),
+     "a pinned start action has no header key"),
+    (Scenario(_SMALL, (0, 0), [(1, 2)], goal_stop=False),
+     "goal_stop=False has no header key"),
+    (_world(AgentSpec(1, (0, 0), [(0, 1)]), AgentSpec(2, (0, 1), [(0, 0)])),
+     r"'2' at \(0, 1\) meets 'a'"),
+    (_world(AgentSpec(1, (0, 0), [(2, 2)]), AgentSpec(2, (0, 1), [(2, 2)])),
+     r"'b' at \(2, 2\) meets 'a'"),
+    (_world(AgentSpec(1, (0, 0), [(2, 2)]), AgentSpec(2, (0, 1), chase=(1,))),
+     "agent 2 chases"),
+    (_world(AgentSpec(1, (0, 0), [(2, 2)]),
+            AgentSpec(2, (0, 1), [(2, 0)], sharpness=0.7)),
+     "agents differ in sharpness"),
+    (_world(AgentSpec(1, (0, 0), [(2, 2)]),
+            AgentSpec(2, (0, 1), [(2, 0)], stiffness=0.5)),
+     "agents differ in stiffness"),
+    (_world(AgentSpec(1, (0, 0), [(2, 2)]),
+            AgentSpec(2, (0, 1), [(2, 0)], policy="sample")),
+     "agents differ in policy"),
+    (_world(AgentSpec(1, (0, 0), [((2, 2), 1.0), ((2, 0), 3.0)])),
+     "agent 1 weights its goals"),
+    (_world(AgentSpec(2, (0, 0), [(2, 2)]), AgentSpec(1, (0, 1), [(2, 0)])),
+     r"agent ids \[2, 1\] are not one or more increasing"),
+    (_world(AgentSpec(1, (0, 0), [(2, 2)]), AgentSpec(1, (0, 1), [(2, 0)])),
+     r"agent ids \[1, 1\] are not one or more increasing"),
+    (_world(), r"agent ids \[\] are not one or more increasing"),
+    (WorldSpec(GridMap.empty(3, 3).with_obstacles([(0, 0)]),
+               (AgentSpec(1, (0, 0), [(2, 2)]),), 20),
+     r"'1' at \(0, 0\) is not on a free cell"),
+    (_world(AgentSpec(1, (0, 0), [(-1, 2)])),
+     r"'a' at \(-1, 2\) is not on a free cell"),
+], ids=["start-on-goal", "goal-twice", "start-action", "goal-stop", "swap",
+        "shared-goal", "chase", "kappa", "lambda", "policy", "agent-weights",
+        "id-order", "id-twice", "no-agents", "on-obstacle", "off-grid"])
+def test_what_a_file_cannot_hold_is_refused_by_the_serializer(obj, message):
+    # each of these used to be written as a file that failed to parse or
+    # read back as another scenario
+    with pytest.raises(ValueError, match=message):
+        serialize_scenario(obj)
+
+
+# -- round trips of random headers and grids ---------------------------------
+
+_SETTINGS = dict(
+    sharpness=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    stiffness=st.floats(0.0, 1.0),
+    policy=st.sampled_from(POLICIES),
+)
+
+
+def _rarely(draw) -> bool:
+    """True in about one draw of ten."""
+    return draw(st.integers(0, 9)) == 0
+
+
+@st.composite
+def _grid_and_cells(draw, count: int):
+    """A map of up to 5 x 6, 1 x N and N x 1 included, and ``count`` cells
+    on it, which may coincide; every drawn cell is made free."""
+    rows, cols = draw(st.tuples(st.integers(1, 5), st.integers(1, 6)))
+    mask = np.array(
+        draw(st.lists(st.booleans(), min_size=rows * cols, max_size=rows * cols)),
+        np.uint8,
+    ).reshape(rows, cols)
+    cell = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
+    # mostly distinct, where the map has room
+    unique = rows * cols >= count and not _rarely(draw)
+    cells = draw(st.lists(cell, min_size=count, max_size=count, unique=unique))
+    for c in cells:
+        mask[c] = 0
+    return GridMap.from_mask(mask), cells
+
+
+def _distinct(cells) -> bool:
+    return len(set(cells)) == len(cells)
+
+
+@st.composite
+def single_scenarios(draw):
+    """A Scenario with every header value in range and its goals in
+    row-major order, and whether a file can hold it."""
+    n_goals = draw(st.integers(1, 3))
+    grid, cells = draw(_grid_and_cells(1 + n_goals))
+    goals = sorted(cells[1:])
+    weights = draw(st.none() | st.lists(st.floats(1e-3, 1e3), min_size=n_goals,
+                                        max_size=n_goals))
+    start_action = draw(st.sampled_from(ACTIONS)) if _rarely(draw) else None
+    goal_stop = not _rarely(draw)
+    scenario = Scenario(
+        grid,
+        cells[0],
+        goals if weights is None else list(zip(goals, weights)),
+        start_action=start_action,
+        horizon=draw(st.none() | st.integers(1, 60)),
+        t_max=draw(st.none() | st.integers(2, 200)),
+        seed=draw(st.integers(0, 2**32)),
+        goal_stop=goal_stop,
+        **{k: draw(v) for k, v in _SETTINGS.items()},
+    )
+    return scenario, _distinct(cells) and start_action is None and goal_stop
+
+
+@st.composite
+def world_specs(draw):
+    """A WorldSpec with every header value in range and each agent's goals
+    in row-major order, and whether a file can hold it.  Cells may
+    coincide, agents may differ in settings, weight their goals or chase,
+    and their ids may repeat or come out of order."""
+    n_agents = draw(st.integers(1, 3))
+    n_goals = draw(st.lists(st.integers(1, 2), min_size=n_agents,
+                            max_size=n_agents))
+    grid, cells = draw(_grid_and_cells(n_agents + sum(n_goals)))
+    digit = st.integers(1, 9)
+    in_order = st.lists(digit, min_size=n_agents, max_size=n_agents,
+                        unique=True).map(sorted)
+    any_order = st.lists(digit, min_size=n_agents, max_size=n_agents)
+    ids = draw(any_order if _rarely(draw) else in_order)
+    shared = {k: draw(v) for k, v in _SETTINGS.items()}
+    agents, own_settings, expressible = [], [], True
+    rest = iter(cells[n_agents:])
+    for k, aid in enumerate(ids):
+        goals = sorted(next(rest) for _ in range(n_goals[k]))
+        weights = [1.0] * len(goals)
+        if _rarely(draw):
+            weights = draw(st.lists(st.sampled_from([1.0, 3.0]),
+                                    min_size=len(goals), max_size=len(goals)))
+        own = dict(shared)
+        if _rarely(draw):
+            key = draw(st.sampled_from(sorted(_SETTINGS)))
+            own[key] = draw(_SETTINGS[key])
+        chase = (ids[0],) if _rarely(draw) else ()
+        agents.append(AgentSpec(aid, cells[k], list(zip(goals, weights)),
+                                chase=chase, **own))
+        own_settings.append(tuple(own.values()))
+        expressible &= len(set(weights)) == 1 and not chase
+    world = WorldSpec(
+        grid,
+        tuple(agents),
+        t_max=draw(st.integers(1, 500)),
+        schedule=draw(st.sampled_from(["fixed", "random"])),
+        seed=draw(st.integers(0, 2**32)),
+    )
+    expressible &= (
+        _distinct(cells) and ids == sorted(set(ids)) and len(set(own_settings)) == 1
+    )
+    return world, expressible
+
+
+def _assert_round_trip_or_refusal(obj, expressible):
+    try:
+        text = serialize_scenario(obj)
+    except ValueError:
+        assert not expressible
+        return
+    assert expressible
+    parsed = parse_scenario(text)
+    assert parsed == obj
+    assert serialize_scenario(parsed) == text
+
+
+@settings(max_examples=400, deadline=None)
+@given(single_scenarios())
+def test_random_scenarios_round_trip_or_are_refused(case):
+    _assert_round_trip_or_refusal(*case)
+
+
+@settings(max_examples=300, deadline=None)
+@given(world_specs())
+def test_random_worlds_round_trip_or_are_refused(case):
+    _assert_round_trip_or_refusal(*case)
