@@ -50,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--horizon", type=int, help="override the header horizon")
         p.add_argument(
             "--policy",
-            choices=("abort", "wait", "sample"),
+            choices=planner.POLICIES,
             help="what to do when the posterior vanishes",
         )
 
@@ -71,32 +71,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--seed", type=int, help="override the header seed")
 
     p_sim = sub.add_parser("simulate", help="run a multi-agent scenario")
-    add_common(p_sim)
+    p_sim.add_argument("file", help="scenario file")
     p_sim.add_argument("--out-dir", required=True)
     p_sim.add_argument("--seed", type=int, help="override the header seed")
     return parser
 
 
-def _load(args) -> planner.Scenario | scenario_io.WorldSpec:
-    text = FsPath(args.file).read_text(encoding="utf-8")
-    parsed = scenario_io.parse_scenario(text)
-    if isinstance(parsed, planner.Scenario):
-        overrides = {}
-        if args.horizon is not None:
-            overrides["horizon"] = args.horizon
-        if args.policy is not None:
-            overrides["policy"] = args.policy
-        if getattr(args, "seed", None) is not None:
-            overrides["seed"] = args.seed
-        if overrides:
-            parsed = replace(parsed, **overrides)
-    return parsed
+def _parse(args) -> planner.Scenario | scenario_io.WorldSpec:
+    return scenario_io.parse_scenario(FsPath(args.file).read_text(encoding="utf-8"))
 
 
-def _require_single(parsed) -> planner.Scenario:
-    if not isinstance(parsed, planner.Scenario):
+def _load(args) -> planner.Scenario:
+    scenario = _parse(args)
+    if not isinstance(scenario, planner.Scenario):
         raise ScenarioParseError("this command needs a single-agent scenario")
-    return parsed
+    options = {"horizon": args.horizon, "policy": args.policy,
+               "seed": getattr(args, "seed", None)}
+    overrides = {k: v for k, v in options.items() if v is not None}
+    return replace(scenario, **overrides) if overrides else scenario
 
 
 def _path_csv(path: planner.Path) -> str:
@@ -108,21 +100,21 @@ def _path_csv(path: planner.Path) -> str:
 
 
 def _cmd_plan(args) -> int:
-    scenario = _require_single(_load(args))
+    scenario = _load(args)
     path = planner.greedy_plan(scenario)
     sys.stdout.write(_path_csv(path))
     return EXIT_OK
 
 
 def _cmd_mintime(args) -> int:
-    scenario = _require_single(_load(args))
+    scenario = _load(args)
     # the minimum, even when the header or --horizon fixes a horizon
     print(planner.resolve_horizon(replace(scenario, horizon=None)))
     return EXIT_OK
 
 
 def _cmd_flows(args) -> int:
-    scenario = _require_single(_load(args))
+    scenario = _load(args)
     flows = planner.scenario_flows(scenario)
     out = FsPath(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -142,7 +134,7 @@ def _cmd_flows(args) -> int:
 def _cmd_sample(args) -> int:
     if args.n < 1:
         raise ValueError(f"--n must be at least 1, got {args.n}")
-    scenario = _require_single(_load(args))
+    scenario = _load(args)
     base_seed = scenario.seed
     for k in range(args.n):
         path = planner.sample_path(replace(scenario, seed=base_seed + k))
@@ -162,7 +154,7 @@ def _world_frame(world, ws: scenario_io.WorldSpec) -> str:
 
 
 def _cmd_simulate(args) -> int:
-    parsed = _load(args)
+    parsed = _parse(args)
     if not isinstance(parsed, scenario_io.WorldSpec):
         raise ScenarioParseError("simulate needs a multi-agent scenario")
     seed = args.seed if args.seed is not None else parsed.seed

@@ -3,9 +3,9 @@
 Each agent sees the static map plus everyone else's current cell as
 obstacles (and optionally some other agents as goals).  Agents act one at
 a time inside a round; a move is visible to everyone scheduled after it,
-which rules out collisions by construction.  When an agent's replanned
-flow is infeasible it falls back to its policy, which is "wait" by
-default: emit a still action and try again next round.  An episode
+which rules out collisions by construction.  An agent without a plan
+this round falls back to its policy: abort raises, and wait (the default)
+and sample both emit a still action and try again next round.  An episode
 builds the static map's kernel once per sharpness when it starts, and
 each agent-round patches it around the other agents
 (``grid.patch_kernel``) instead of building one.
@@ -38,11 +38,27 @@ from .planner import (
     GoalSpec,
     Path,
     PlanSetup,
+    _check_policy,
+    _check_seed,
     _check_sharpness,
     _commit_next,
     _normalized_goals,
     goal_marginal,
 )
+
+SCHEDULES = ("fixed", "random")
+
+
+def _check_schedule(schedule: str) -> None:
+    """Refuse a schedule other than fixed and random."""
+    if schedule not in SCHEDULES:
+        raise ValueError(f"unknown schedule {schedule!r}")
+
+
+def _check_t_max(t_max: int) -> None:
+    """Refuse a time budget without the start slice."""
+    if t_max < 1:
+        raise ValueError(f"t_max must be at least 1, got {t_max}")
 
 
 @dataclass(frozen=True)
@@ -69,6 +85,7 @@ class AgentSpec:
             )
         _check_sharpness(self.sharpness)
         _check_stiffness(self.stiffness)
+        _check_policy(self.policy)
 
 
 @dataclass(frozen=True)
@@ -158,8 +175,8 @@ class _AgentRunner:
         kept.  The kernel is ``base`` patched around the other agents.
         The executed action is the stored heading, backfilled from the
         committed move when the heading was free.
-        Falls back to a still step (or a forward sample, per policy)
-        whenever the dynamic map makes the goal infeasible right now.
+        Without a plan this round (``_blocked``) abort raises and every
+        other policy, sample included, stands still.
         """
         spec = self.spec
         me = snapshots[spec.agent_id]
@@ -178,41 +195,33 @@ class _AgentRunner:
 
         if goal[me.cell] > 0.0:
             return me.cell, STILL.index, None, True
+        if remaining < 2:
+            return self._blocked(me)
 
         kernel = patch_kernel(self.base, dyn, self.masks)
         horizon, backward = 1, deque(maxlen=2)  # slices 1 and 2
         try:
-            for crop in engine._max_chain(
-                kernel,
-                self.p_action,
-                me.cell,
-                goal,
-                max(remaining, 2),
-                start_action=me.action,
-            ):
+            chain = engine._max_chain(
+                kernel, self.p_action, me.cell, goal, remaining, me.action
+            )
+            for crop in chain:
                 horizon += 1
                 backward.appendleft(crop)
         except UnreachableError:
             return self._blocked(me)
-        if horizon > remaining:
-            return self._blocked(me)
 
-        setup = PlanSetup(kernel, self.p_action, goal, None)
-        executed, cell, heading, fell_back = _commit_next(
-            setup, backward, horizon, 2, me.cell, me.action, spec.policy, rng,
-            draw=False,
+        executed, cell, heading = _commit_next(
+            PlanSetup(kernel, self.p_action, goal), backward, horizon, 2,
+            me.cell, me.action, spec.policy, rng, draw=False,
         )
-        if fell_back:
-            if spec.policy == POLICY_WAIT:
-                return self._blocked(me)
-            return cell, executed, heading, False
         if cell in {snapshots[t].cell for t in spec.chase}:
             # capture without co-occupying the target's cell
             return me.cell, STILL.index, me.action, True
         return cell, executed, heading, goal[cell] > 0.0
 
     def _blocked(self, me: AgentSnapshot) -> tuple[Cell, int, int, bool]:
-        """No plan this round: abort raises, any other policy stands still."""
+        """No plan this round (the goal is blocked, or no path reaches it in
+        the slices left): abort raises, any other policy stands still."""
         if self.spec.policy == POLICY_ABORT:
             raise NoFeasiblePathError(
                 f"agent {self.spec.agent_id} blocked at {me.cell}"
@@ -289,10 +298,9 @@ def simulate(
     time is reported via ``timed_out`` on the result, not an exception,
     and the partial trace is returned.
     """
-    if schedule not in ("fixed", "random"):
-        raise ValueError(f"unknown schedule {schedule!r}")
-    if t_max < 1:
-        raise ValueError(f"t_max must be at least 1, got {t_max}")
+    _check_schedule(schedule)
+    _check_t_max(t_max)
+    _check_seed(seed)
     ids = [s.agent_id for s in specs]
     if len(set(ids)) != len(ids):
         raise ValueError("agent ids must be unique")

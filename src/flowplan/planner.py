@@ -115,6 +115,12 @@ def _check_seed(seed: int) -> None:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
 
 
+def _check_policy(policy: str) -> None:
+    """Refuse a policy other than abort, wait and sample."""
+    if policy not in POLICIES:
+        raise ValueError(f"unknown policy {policy!r}")
+
+
 @dataclass(frozen=True)
 class Scenario:
     """A single-agent planning problem.
@@ -143,12 +149,11 @@ class Scenario:
         _check_sharpness(self.sharpness)
         _check_stiffness(self.stiffness)
         _check_seed(self.seed)
+        _check_policy(self.policy)
         object.__setattr__(self, "goals", _normalized_goals(self.goals))
         for cell, _ in self.goals:
             if not self.grid.is_free(cell):
                 raise InvalidGoalError(f"goal {cell} is on an obstacle")
-        if self.policy not in POLICIES:
-            raise ValueError(f"unknown policy {self.policy!r}")
         if self.horizon is not None and self.horizon < 1:
             raise ValueError("horizon must be positive")
         if self.t_max is not None and self.t_max < 2:
@@ -213,18 +218,12 @@ class PlanSetup:
     kernel: TransitionKernel
     p_action: np.ndarray
     goal: np.ndarray
-    start_actions: np.ndarray | None
 
 
 def build_setup(scenario: Scenario) -> PlanSetup:
     kernel = build_kernel(scenario.grid, default_masks(scenario.sharpness))
     p_action = action_matrix(scenario.stiffness)
-    goal = goal_marginal(scenario.goals, scenario.grid)
-    pi = None
-    if scenario.start_action is not None:
-        pi = np.zeros(N_ACTIONS)
-        pi[scenario.start_action.index] = 1.0
-    return PlanSetup(kernel, p_action, goal, pi)
+    return PlanSetup(kernel, p_action, goal_marginal(scenario.goals, scenario.grid))
 
 
 def resolve_horizon(scenario: Scenario, setup: PlanSetup | None = None) -> int:
@@ -294,7 +293,7 @@ def _commit_next(
     policy: str,
     rng: np.random.Generator,
     draw: bool,
-) -> tuple[int, Cell, int | None, bool]:
+) -> tuple[int, Cell, int | None]:
     """Commit slice ``t`` of a ``horizon``-slice plan whose slice t-1 is at
     (cell, action); ``backward`` holds slices 1 .. t of its chain at
     least, as crops whose slice t is exact (up to one scale) on the 3 x 3
@@ -320,7 +319,7 @@ def _commit_next(
     wait stays on ``cell`` (still), sample draws the pair from the forward
     move (the final cell as the score would be picked).  A free ``action``
     is backfilled from the committed move.  Returns (action, next_cell,
-    next_action, fell_back); the final slice's next_action is None.
+    next_action); the final slice's next_action is None.
     """
     final = t == horizon
     select = rng if draw else None
@@ -348,10 +347,9 @@ def _commit_next(
             score = np.log(move) + (np.log(meet) if final else meet)
         if draw and score.max() > -inf:
             score = np.exp(score - score.max())
-    fell_back = score.max() == -inf
 
     top, left = on_grid[0].start, on_grid[1].start
-    if not fell_back:
+    if score.max() > -inf:
         i, j, *rest = _pick(score, select)
     elif policy == POLICY_ABORT:
         what = f"posterior vanished at slice {t}"
@@ -374,24 +372,24 @@ def _commit_next(
         if next_action is not None:
             weights = weights * setup.p_action[:, next_action]
         (action,) = _pick(weights, select)
-    return action, next_cell, next_action, fell_back
+    return action, next_cell, next_action
 
 
 def _extract(scenario: Scenario, draw: bool) -> Path:
     setup = build_setup(scenario)
     goal_cells = set(scenario.goal_cells)
     start = scenario.start_cell
+    on_goal = start in goal_cells
 
-    if start in goal_cells:
-        return Path(((1, start, None),), True)
-
-    horizon = resolve_horizon(scenario, setup)
+    # the one exit without a move: a start on a goal stops at once unless
+    # goal_stop is off, and a horizon below two slices has no transition
+    horizon = 1 if on_goal and scenario.goal_stop else resolve_horizon(scenario, setup)
     if horizon < 2:
-        if scenario.policy == POLICY_ABORT:
+        if not on_goal and scenario.policy == POLICY_ABORT:
             raise NoFeasiblePathError(
                 f"horizon {horizon} leaves no room for a transition"
             )
-        return Path(((1, start, None),), False)
+        return Path(((1, start, None),), on_goal)
 
     semiring = engine._SUM if draw else engine._MAX
     backward = engine._tube(
@@ -404,7 +402,7 @@ def _extract(scenario: Scenario, draw: bool) -> Path:
     steps: list[tuple[int, Cell, int | None]] = [(1, start, first_action)]
     for t in range(2, horizon + 1):
         _, cur, action = steps[-1]
-        action, cell, next_action, _ = _commit_next(
+        action, cell, next_action = _commit_next(
             setup, backward, horizon, t, cur, action, scenario.policy, rng, draw
         )
         steps[-1] = (t - 1, cur, action)
@@ -481,11 +479,12 @@ def path_likelihood(path: Path, scenario: Scenario) -> float:
 def scenario_flows(scenario: Scenario) -> engine.FlowSet:
     """Full flow set for a scenario; handy for rendering and diagnostics."""
     setup = build_setup(scenario)
+    pinned = scenario.start_action
     return engine.run_flows(
         setup.kernel,
         setup.p_action,
         scenario.start_cell,
         setup.goal,
         resolve_horizon(scenario, setup),
-        setup.start_actions,
+        None if pinned is None else np.eye(N_ACTIONS)[pinned.index],
     )

@@ -27,9 +27,9 @@ import numpy as np
 
 from .errors import ScenarioParseError
 from .grid import GridMap, _check_stiffness
-from .multiagent import AgentSpec
-from .planner import POLICIES, POLICY_WAIT, Scenario, _check_seed, _check_sharpness
-from .planner import _normalized_goals
+from .multiagent import AgentSpec, _check_schedule, _check_t_max
+from .planner import POLICY_ABORT, POLICY_WAIT, Scenario, _check_seed, _check_sharpness
+from .planner import _check_policy, _normalized_goals
 
 _DEFAULTS = {
     "horizon": "auto",
@@ -42,8 +42,16 @@ _DEFAULTS = {
     "goal_weights": None,
 }
 
+# how each header value is read from its text; the others stay text
+_READERS = {
+    "horizon": lambda value: "auto" if value == "auto" else int(value),
+    "kappa": float, "lambda": float, "seed": int, "t_max": int,
+    "goal_weights": lambda value: tuple(float(v) for v in value.split(",")),
+}
+
 # header values refused with their line, as the constructors would refuse them
-_CHECKS = {"kappa": _check_sharpness, "lambda": _check_stiffness, "seed": _check_seed}
+_CHECKS = {"kappa": _check_sharpness, "lambda": _check_stiffness, "seed": _check_seed,
+           "policy": _check_policy, "schedule": _check_schedule}
 
 _AGENT_DIGITS = "123456789"
 _GOAL_LETTERS = "abcdefghi"
@@ -59,6 +67,11 @@ class WorldSpec:
     t_max: int
     schedule: str = "fixed"
     seed: int = 0
+
+    def __post_init__(self):
+        _check_t_max(self.t_max)
+        _check_schedule(self.schedule)
+        _check_seed(self.seed)
 
 
 def _parse_header(lines: list[str]) -> tuple[dict, int]:
@@ -83,22 +96,7 @@ def _parse_header(lines: list[str]) -> tuple[dict, int]:
         if key not in _DEFAULTS:
             raise ScenarioParseError(f"unknown header key {key!r}", idx + 1)
         try:
-            if key == "horizon":
-                values[key] = "auto" if value == "auto" else int(value)
-            elif key in ("kappa", "lambda"):
-                values[key] = float(value)
-            elif key in ("seed", "t_max"):
-                values[key] = int(value)
-            elif key == "goal_weights":
-                values[key] = tuple(float(v) for v in value.split(","))
-            elif key == "policy":
-                if value not in POLICIES:
-                    raise ValueError
-                values[key] = value
-            elif key == "schedule":
-                if value not in ("fixed", "random"):
-                    raise ValueError
-                values[key] = value
+            values[key] = _READERS.get(key, str)(value)
         except ValueError:
             raise ScenarioParseError(
                 f"bad value {value!r} for {key!r}", idx + 1
@@ -202,7 +200,7 @@ def _single_scenario(grid, start, goals, header) -> Scenario:
         sharpness=header["kappa"],
         stiffness=header["lambda"],
         seed=header["seed"],
-        policy=header["policy"] or "abort",
+        policy=header["policy"] or POLICY_ABORT,
     )
 
 

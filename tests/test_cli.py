@@ -154,8 +154,8 @@ def test_kappa_one_is_refused_at_its_header_line(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "line", ["seed = -1", "lambda = 1.5", "lambda = nan"],
-    ids=["seed", "lambda-1.5", "lambda-nan"],
+    "line", ["seed = -1", "lambda = 1.5", "lambda = nan", "policy = bogus"],
+    ids=["seed", "lambda-1.5", "lambda-nan", "policy"],
 )
 def test_bad_seed_and_stiffness_exit_two_at_their_header_line(tmp_path, capsys, line):
     f = tmp_path / "bad.txt"
@@ -239,6 +239,17 @@ def test_simulate_writes_trace_and_agent_csv(tmp_path, capsys, corridor_file):
     first_frame = (out / "trace_t001.txt").read_text(encoding="utf-8")
     assert "1" in first_frame and "2" in first_frame and "a" in first_frame
     assert first_frame == "#######\n#1...2#\n###.###\n#b...a#\n#######\n"
+
+
+@pytest.mark.parametrize("option", [["--policy", "abort"], ["--horizon", "3"]],
+                         ids=["policy", "horizon"])
+def test_simulate_refuses_the_single_agent_options(tmp_path, capsys, corridor_file,
+                                                   option):
+    # they used to be accepted and ignored: the trace came out as without them
+    out = tmp_path / "sim"
+    assert main(["simulate", corridor_file, "--out-dir", str(out), *option]) == 2
+    assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_rejects_single_agent_files(capsys, empty5_file):

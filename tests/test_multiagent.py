@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from flowplan import (
     AgentSpec,
     GridMap,
     InvalidGoalError,
+    NoFeasiblePathError,
     STILL,
     Scenario,
     UnreachableError,
@@ -20,7 +25,9 @@ from flowplan import (
     validate_path,
 )
 from flowplan import engine, multiagent
+from flowplan.grid import N_ACTIONS, default_masks
 from flowplan.multiagent import AgentSnapshot
+from flowplan.oracle import dense_chain
 from flowplan.planner import PlanSetup, _commit_next
 from flowplan.scenario_io import parse_scenario
 from flowplan import scenarios
@@ -214,6 +221,28 @@ def test_simulate_validates_inputs():
         simulate([AgentSpec(1, (0, 0), [(2, 2)])], grid, 10, schedule="sometimes")
     with pytest.raises(ValueError, match="keeps no outward move"):
         AgentSpec(1, (0, 0), [(2, 2)], sharpness=1.0)
+    with pytest.raises(ValueError, match="unknown policy 'bogus'"):
+        AgentSpec(1, (0, 0), [(1, 1)], policy="bogus")
+    with pytest.raises(ValueError, match="non-negative integer, got -1"):
+        simulate([AgentSpec(1, (0, 0), [(2, 2)])], grid, 10, seed=-1)
+
+
+def test_a_round_without_two_slices_left_stands_still():
+    # step_world called at the last slice of the budget: one slice is left,
+    # so no move fits, though the goal is next door
+    grid = GridMap.empty(1, 3)
+    specs = [AgentSpec(1, (0, 0), [(0, 1)]), AgentSpec(2, (0, 2), [(0, 1)])]
+    state = multiagent.WorldState(
+        4, tuple(AgentSnapshot(s.agent_id, s.start_cell, None, False) for s in specs)
+    )
+    rng = np.random.default_rng(0)
+    after = multiagent.step_world(grid, state, specs, 4, [1, 2], rng)
+    assert after.agents == tuple(
+        AgentSnapshot(s.agent_id, s.start_cell, STILL.index, False) for s in specs
+    )
+    abort = [replace(specs[0], policy="abort")]
+    with pytest.raises(NoFeasiblePathError, match=r"agent 1 blocked at \(0, 0\)"):
+        multiagent.step_world(grid, state, abort, 4, [1], rng)
 
 
 @pytest.mark.parametrize("stiffness", [1.5, float("nan")])
@@ -254,7 +283,7 @@ def test_vanishing_arrived_agents_unblock_a_door():
     assert result.paths[2].reached_goal
 
 
-def test_sample_policy_agents_move_randomly_when_blocked():
+def test_sample_policy_agents_share_no_cell_and_all_arrive():
     ws = corridor_world()
     sampling = tuple(
         AgentSpec(a.agent_id, a.start_cell, a.goals, policy="sample")
@@ -292,14 +321,10 @@ def _rebuilding_plan_step(self, grid, snapshots, remaining, rng, arrived_vanish=
     horizon = len(backward) + 1
     if horizon > remaining:
         return self._blocked(me)
-    setup = PlanSetup(kernel, self.p_action, goal, None)
-    executed, cell, heading, fell_back = _commit_next(
+    setup = PlanSetup(kernel, self.p_action, goal)
+    executed, cell, heading = _commit_next(
         setup, backward, horizon, 2, me.cell, me.action, spec.policy, rng, False
     )
-    if fell_back:
-        if spec.policy == "wait":
-            return self._blocked(me)
-        return cell, executed, heading, False
     if cell in {snapshots[t].cell for t in spec.chase}:
         return me.cell, STILL.index, me.action, True
     return cell, executed, heading, goal[cell] > 0.0
@@ -346,3 +371,129 @@ def test_simulate_matches_a_runner_that_rebuilds_its_kernel(
     monkeypatch.setattr(multiagent._AgentRunner, "plan_step", _rebuilding_plan_step)
     want = simulate(specs, grid, 150, schedule, seed, vanish)
     assert got == want
+
+
+@st.composite
+def worlds(draw):
+    """Maps of at most 6 x 6, 1 x N included, with 2-4 agents under the wait
+    and sample policies at stiffness 0, 0.5 or 1, now and then chasing."""
+    rows, cols = draw(
+        st.tuples(st.just(1), st.integers(2, 6))
+        | st.tuples(st.integers(1, 6), st.integers(1, 6))
+    )
+    cells = [(i, j) for i in range(rows) for j in range(cols)]
+    walls = draw(st.sets(st.sampled_from(cells), max_size=len(cells) // 3))
+    free = [c for c in cells if c not in walls]
+    assume(len(free) >= 2)
+    n_agents = draw(st.integers(2, min(4, len(free))))
+    starts = draw(st.lists(st.sampled_from(free), min_size=n_agents,
+                           max_size=n_agents, unique=True))
+    specs = []
+    for k, start in enumerate(starts):
+        goals = draw(st.lists(st.sampled_from(free), min_size=1, max_size=2,
+                              unique=True))
+        others = [a for a in range(1, n_agents + 1) if a != k + 1]
+        chase = (draw(st.sampled_from(others)),) if draw(st.integers(0, 5)) == 0 else ()
+        if chase and draw(st.booleans()):
+            goals = []
+        specs.append(AgentSpec(
+            k + 1, start, goals,
+            sharpness=draw(st.sampled_from([0.8, 0.6])),
+            stiffness=draw(st.sampled_from([0.0, 0.5, 1.0])),
+            policy=draw(st.sampled_from(["wait", "sample"])),
+            chase=chase,
+        ))
+    grid = GridMap.empty(rows, cols).with_obstacles(sorted(walls))
+    return (
+        grid, specs, draw(st.integers(1, 2 * (rows + cols))),
+        draw(st.sampled_from(["fixed", "random"])), draw(st.integers(0, 2**16)),
+        draw(st.booleans()),
+    )
+
+
+def _pair_times(dyn, spec, goal, slices, chains):
+    """Minimum slices from each (cell, action) pair to a goal, 0 beyond
+    ``slices``, with the joint and final-slice supports of the dense chain
+    on ``dyn``: boolean powers of ``oracle.dense_chain``."""
+    key = (dyn.mask.tobytes(), spec.sharpness, spec.stiffness)
+    if key not in chains:
+        chain = dense_chain(
+            build_kernel(dyn, default_masks(spec.sharpness)),
+            action_matrix(spec.stiffness),
+        )
+        chains[key] = chain.joint > 0.0, chain.to_state > 0.0
+    joint, to_state = chains[key]
+    times = np.zeros(joint.shape[0], dtype=int)
+    reach = to_state @ (goal.reshape(-1) > 0.0)  # a goal one move on
+    for t in range(2, slices + 1):
+        times[reach & (times == 0)] = t
+        reach = joint @ reach
+    return times, joint, to_state
+
+
+def _check_decision(grid, spec, snapshots, remaining, vanish, decision, chains):
+    """A plan_step decision against the oracle: a move lowers the minimum
+    time by one; a wait happens only where no path fits ``remaining``."""
+    me = snapshots[spec.agent_id]
+    blocked = (me.cell, STILL.index, STILL.index, False)
+    dyn = dynamic_map(grid, snapshots, spec.agent_id,
+                      include_arrived=not vanish, transparent=spec.chase)
+    try:
+        goal = goal_marginal(multiagent._goal_cells(spec, snapshots), dyn)
+    except InvalidGoalError:
+        assert decision == blocked
+        return
+    if goal[me.cell] > 0.0:
+        assert decision == (me.cell, STILL.index, None, True)
+        return
+    times, joint, to_state = _pair_times(dyn, spec, goal, remaining, chains)
+    pair = (me.cell[0] * grid.cols + me.cell[1]) * N_ACTIONS
+    own = times[pair : pair + N_ACTIONS]
+    if me.action is not None:
+        own = own[[me.action]]
+    if remaining < 2 or not own.any():
+        assert decision == blocked
+        return
+    t_min = own[own > 0].min()
+    cell, executed, heading, arrived = decision
+    if spec.chase and decision == (me.cell, STILL.index, me.action, True):
+        assert t_min == 2  # a capture: the committed move reached a target
+        return
+    assert me.action in (None, executed)
+    assert to_state[pair + executed, cell[0] * grid.cols + cell[1]]
+    if heading is None:
+        assert (t_min, arrived) == (2, True) and goal[cell] > 0.0
+    else:
+        nxt = (cell[0] * grid.cols + cell[1]) * N_ACTIONS + heading
+        assert joint[pair + executed, nxt] and not arrived
+        assert times[nxt] == t_min - 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(worlds())
+def test_simulate_rounds_keep_their_invariants_and_follow_the_dense_chain(world):
+    grid, specs, t_max, schedule, seed, vanish = world
+    decisions = []
+    plan_step = multiagent._AgentRunner.plan_step
+
+    def recording(self, grid, snapshots, remaining, rng, arrived_vanish=False):
+        before = dict(snapshots)
+        decision = plan_step(self, grid, snapshots, remaining, rng, arrived_vanish)
+        decisions.append((self.spec, before, remaining, decision))
+        return decision
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(multiagent._AgentRunner, "plan_step", recording)
+        result = simulate(specs, grid, t_max, schedule, seed, vanish)
+
+    for state in result.states:
+        assert all(grid.is_free(s.cell) for s in state.agents)
+        present = [s.cell for s in state.agents if not (vanish and s.arrived)]
+        assert len(set(present)) == len(present)
+    for path in result.paths.values():
+        validate_path(path, grid)
+    assert result.timed_out == (not result.states[-1].all_arrived())
+    assert not result.timed_out or result.t_final == t_max
+    chains = {}
+    for spec, snapshots, remaining, decision in decisions:
+        _check_decision(grid, spec, snapshots, remaining, vanish, decision, chains)

@@ -141,8 +141,8 @@ def test_commit_next_redoes_a_vanished_draw_in_log_space():
     assert _commit_next(setup, chain, *args, draw=True)[1] == (1, 1)
     box = chain[1].box
     chain[1] = engine._Crop(box, np.zeros_like(chain[1].values), 0.0)
-    action, cell, next_action, fell_back = _commit_next(setup, chain, *args, draw=True)
-    assert (cell, fell_back) == ((1, 1), False)
+    action, cell, next_action = _commit_next(setup, chain, *args, draw=True)
+    assert cell == (1, 1)
     assert next_action is not None and action is not None
     assert len(chain) == 4 and all(crop.zero == -math.inf for crop in chain)
     # the later slices read the log chain without another redo
@@ -357,14 +357,19 @@ def test_greedy_start_on_goal_returns_single_slice():
 
 
 def test_goal_stop_off_runs_the_full_horizon():
-    grid = GridMap.empty(5, 5)
-    base = Scenario(grid, (0, 0), [(4, 4)], horizon=8)
-    stopped = greedy_plan(base)
-    assert stopped.reached_goal and stopped.t_used <= 8
-    wandering = greedy_plan(replace(base, goal_stop=False))
-    assert wandering.t_used == 8
-    validate_path(wandering, grid)
-    assert wandering.reached_goal  # final slice posterior is goal-weighted
+    # a start off the goals, and a start on one of two goals, which stops at
+    # once unless goal_stop is off
+    off_goal = Scenario(GridMap.empty(5, 5), (0, 0), [(4, 4)], horizon=8)
+    on_goal = Scenario(GridMap.empty(1, 4), (0, 1), [(0, 1), (0, 3)], horizon=5)
+    for base in (off_goal, on_goal):
+        for plan in (greedy_plan, sample_path):
+            stopped = plan(base)
+            assert stopped.reached_goal and stopped.t_used <= base.horizon
+            wandering = plan(replace(base, goal_stop=False))
+            assert wandering.t_used == base.horizon
+            validate_path(wandering, base.grid)
+            assert wandering.reached_goal  # final slice posterior is goal-weighted
+    assert greedy_plan(on_goal).t_used == sample_path(on_goal).t_used == 1
 
 
 def test_greedy_with_pinned_start_action():
@@ -609,6 +614,30 @@ def test_greedy_attains_enumeration_maximum_on_empty_grids():
             path = greedy_plan(replace(scenario, horizon=t_min))
             got = math.exp(path_likelihood(path, scenario))
             assert got == pytest.approx(best, rel=1e-9)
+
+
+def test_greedy_from_a_start_on_its_goal_attains_the_enumeration_maximum():
+    # with goal_stop off a start on a goal runs the whole horizon, and the
+    # path is a best trajectory, its final goal weight included
+    rng = np.random.default_rng(16)
+    for _ in range(30):
+        rows, cols = (int(v) for v in rng.integers(1, 4, size=2))
+        grid = random_map(rng, rows, cols, 0.2)
+        free = free_cells(grid)
+        if len(free) < 2:
+            continue
+        start, other = (free[k] for k in rng.choice(len(free), 2, replace=False))
+        goals = [start, other] if rng.random() < 0.5 else [start]
+        stiffness = float(rng.choice([0.0, 0.5, 1.0]))
+        horizon = int(rng.integers(2, 5 if rows * cols <= 4 else 4))
+        scenario = Scenario(grid, start, goals, horizon=horizon,
+                            stiffness=stiffness, goal_stop=False)
+        goal = goal_marginal(goals, grid)
+        trajectories = enumerate_paths(grid, start, goal, horizon, stiffness=stiffness)
+        path = greedy_plan(scenario)
+        assert path.t_used == horizon and path.reached_goal
+        got = math.exp(path_likelihood(path, scenario)) * goal[path.steps[-1][1]]
+        assert got == pytest.approx(max(w for _, w in trajectories), rel=1e-9)
 
 
 def test_greedy_marginal_argmax_can_miss_the_single_best_trajectory():

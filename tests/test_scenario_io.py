@@ -20,6 +20,7 @@ from flowplan import (
     serialize_scenario,
 )
 from flowplan import scenarios
+from flowplan.multiagent import SCHEDULES
 from flowplan.planner import POLICIES
 
 
@@ -218,13 +219,27 @@ def test_agent_ids_without_a_grid_digit_are_refused_by_the_serializer(agent_id):
     ("seed = -1", "seed must be a non-negative integer, got -1"),
     ("lambda = 1.5", "stiffness must be in [0, 1], got 1.5"),
     ("lambda = nan", "stiffness must be in [0, 1], got nan"),
-], ids=["seed", "lambda-1.5", "lambda-nan"])
+    ("policy = bogus", "unknown policy 'bogus'"),
+    ("schedule = bogus", "unknown schedule 'bogus'"),
+], ids=["seed", "lambda-1.5", "lambda-nan", "policy", "schedule"])
 def test_seed_and_stiffness_are_refused_at_their_header_line(line, message):
     for grid in ("S.G\n", "1.a\n2.b\n"):
         with pytest.raises(ScenarioParseError) as err:
             parse_scenario(f"horizon = auto\n{line}\n---\n{grid}")
         assert err.value.line == 2
         assert str(err.value) == f"line 2: {message}"
+
+
+@pytest.mark.parametrize("setting, message", [
+    ({"schedule": "bogus"}, "unknown schedule 'bogus'"),
+    ({"seed": -1}, "seed must be a non-negative integer, got -1"),
+    ({"t_max": 0}, "t_max must be at least 1, got 0"),
+], ids=["schedule", "seed", "t_max"])
+def test_a_world_refuses_what_its_file_would_refuse(setting, message):
+    # each was once accepted and serialized as a file that failed to parse
+    with pytest.raises(ValueError, match=message):
+        WorldSpec(GridMap.empty(3, 3), (AgentSpec(1, (0, 0), [(2, 2)]),),
+                  **{"t_max": 20, **setting})
 
 
 def test_missing_separator_after_header_is_reported():
@@ -395,7 +410,7 @@ def world_specs(draw):
         grid,
         tuple(agents),
         t_max=draw(st.integers(1, 500)),
-        schedule=draw(st.sampled_from(["fixed", "random"])),
+        schedule=draw(st.sampled_from(SCHEDULES)),
         seed=draw(st.integers(0, 2**32)),
     )
     expressible &= (
