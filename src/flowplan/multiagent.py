@@ -5,9 +5,9 @@ obstacles (and optionally some other agents as goals).  Agents act one at
 a time inside a round; a move is visible to everyone scheduled after it,
 which rules out collisions by construction.  An agent without a plan
 this round falls back to its policy: abort raises, and wait (the default)
-and sample both emit a still action and try again next round.  An episode
-builds the static map's kernel once per sharpness when it starts, and
-each agent-round patches it around the other agents
+and sample both stand still and replan next round with a free heading.
+An episode builds the static map's kernel once per sharpness when it
+starts, and each agent-round patches it around the other agents
 (``grid.patch_kernel``) instead of building one.
 """
 
@@ -176,7 +176,7 @@ class _AgentRunner:
         The executed action is the stored heading, backfilled from the
         committed move when the heading was free.
         Without a plan this round (``_blocked``) abort raises and every
-        other policy, sample included, stands still.
+        other policy, sample included, stands still and frees the heading.
         """
         spec = self.spec
         me = snapshots[spec.agent_id]
@@ -219,14 +219,14 @@ class _AgentRunner:
             return me.cell, STILL.index, me.action, True
         return cell, executed, heading, goal[cell] > 0.0
 
-    def _blocked(self, me: AgentSnapshot) -> tuple[Cell, int, int, bool]:
-        """No plan this round (the goal is blocked, or no path reaches it in
-        the slices left): abort raises, any other policy stands still."""
+    def _blocked(self, me: AgentSnapshot) -> tuple[Cell, int, None, bool]:
+        """No plan this round (goal blocked, or no path in the slices left):
+        abort raises, any other policy stands still with its heading free."""
         if self.spec.policy == POLICY_ABORT:
             raise NoFeasiblePathError(
                 f"agent {self.spec.agent_id} blocked at {me.cell}"
             )
-        return me.cell, STILL.index, STILL.index, False
+        return me.cell, STILL.index, None, False
 
 
 def _runners(specs: Sequence[AgentSpec], grid: GridMap) -> dict[int, _AgentRunner]:

@@ -121,6 +121,18 @@ def _check_policy(policy: str) -> None:
         raise ValueError(f"unknown policy {policy!r}")
 
 
+def _check_horizon(horizon: int | None) -> None:
+    """Refuse a fixed horizon without a slice; None asks for the minimum."""
+    if horizon is not None and horizon < 1:
+        raise ValueError(f"horizon must be at least 1, got {horizon}")
+
+
+def _check_search_cap(t_max: int | None) -> None:
+    """Refuse a search bound below the two slices of one move."""
+    if t_max is not None and t_max < 2:
+        raise ValueError(f"t_max must be at least 2, got {t_max}")
+
+
 @dataclass(frozen=True)
 class Scenario:
     """A single-agent planning problem.
@@ -150,14 +162,12 @@ class Scenario:
         _check_stiffness(self.stiffness)
         _check_seed(self.seed)
         _check_policy(self.policy)
+        _check_horizon(self.horizon)
+        _check_search_cap(self.t_max)
         object.__setattr__(self, "goals", _normalized_goals(self.goals))
         for cell, _ in self.goals:
             if not self.grid.is_free(cell):
                 raise InvalidGoalError(f"goal {cell} is on an obstacle")
-        if self.horizon is not None and self.horizon < 1:
-            raise ValueError("horizon must be positive")
-        if self.t_max is not None and self.t_max < 2:
-            raise ValueError("t_max must be at least 2")
 
     @property
     def goal_cells(self) -> tuple[Cell, ...]:

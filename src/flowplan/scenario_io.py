@@ -12,46 +12,26 @@ separator, and an ASCII grid::
 
 Grid alphabet: ``#`` obstacle, ``.`` free, ``S`` start and ``G`` goal for
 a single agent, digits ``1``-``9`` agent starts with matching goal letters
-``a``-``i`` for the multi-agent form.  Header keys: ``horizon`` (``auto``
-or an integer), ``kappa`` (stencil sharpness in (0, 1)), ``lambda``
-(motion stiffness), ``seed``, ``policy`` (abort/wait/sample),
-``schedule`` (fixed/random), ``t_max``, and ``goal_weights``
-(comma-separated, matched to ``G`` cells in row-major order).
+``a``-``i`` for the multi-agent form.  Header keys (``_KEYS``): ``kappa``
+(sharpness in (0, 1)), ``lambda`` (stiffness), ``seed``, ``policy`` and
+``t_max`` in both kinds of file, ``horizon`` (``auto`` or an integer) and
+``goal_weights`` (for the ``G`` cells in row-major order) in single-agent
+ones, ``schedule`` in multi-agent ones.  A value its object would refuse,
+or a key the file's kind does not hold, is refused at its line.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import ScenarioParseError
 from .grid import GridMap, _check_stiffness
 from .multiagent import AgentSpec, _check_schedule, _check_t_max
-from .planner import POLICY_ABORT, POLICY_WAIT, Scenario, _check_seed, _check_sharpness
-from .planner import _check_policy, _normalized_goals
-
-_DEFAULTS = {
-    "horizon": "auto",
-    "kappa": 0.8,
-    "lambda": 0.0,
-    "seed": 0,
-    "policy": None,  # abort for single-agent, wait for multi-agent
-    "schedule": "fixed",
-    "t_max": None,
-    "goal_weights": None,
-}
-
-# how each header value is read from its text; the others stay text
-_READERS = {
-    "horizon": lambda value: "auto" if value == "auto" else int(value),
-    "kappa": float, "lambda": float, "seed": int, "t_max": int,
-    "goal_weights": lambda value: tuple(float(v) for v in value.split(",")),
-}
-
-# header values refused with their line, as the constructors would refuse them
-_CHECKS = {"kappa": _check_sharpness, "lambda": _check_stiffness, "seed": _check_seed,
-           "policy": _check_policy, "schedule": _check_schedule}
+from .planner import Scenario, _check_horizon, _check_policy, _check_search_cap
+from .planner import _check_seed, _check_sharpness, _normalized_goals
 
 _AGENT_DIGITS = "123456789"
 _GOAL_LETTERS = "abcdefghi"
@@ -74,40 +54,102 @@ class WorldSpec:
         _check_seed(self.seed)
 
 
+def _unit_weights(goals) -> bool:
+    """Whether ``goals`` carry the weights that unweighted cells get."""
+    return tuple(goals) == _normalized_goals([cell for cell, _ in goals])
+
+
+def _weights_text(goals) -> str | None:
+    # left out only where unit weights normalize to the same ones: equal
+    # weights need not (three weights of 349525.96 normalize to 1/3 + 1 ulp)
+    ordered = sorted(goals, key=lambda gw: gw[0])
+    return None if _unit_weights(ordered) else ",".join(repr(w) for _, w in ordered)
+
+
+@dataclass(frozen=True)
+class _Key:
+    """The ``field`` one header key sets, read from its text by ``read`` and
+    written back by ``write`` (None leaves the key out), and the checker of
+    each object that holds it: ``Scenario`` in a single-agent file, every
+    ``AgentSpec`` or the ``WorldSpec`` in a multi-agent one."""
+
+    field: str
+    read: Callable
+    checks: dict
+    write: Callable = lambda value: None if value is None else str(value)
+
+
+# every header key, in the order the serializer writes them
+_KEYS = {
+    "horizon": _Key("horizon", lambda text: None if text == "auto" else int(text),
+                    {Scenario: _check_horizon},
+                    lambda horizon: "auto" if horizon is None else str(horizon)),
+    "kappa": _Key("sharpness", float,
+                  {Scenario: _check_sharpness, AgentSpec: _check_sharpness}),
+    "lambda": _Key("stiffness", float,
+                   {Scenario: _check_stiffness, AgentSpec: _check_stiffness}),
+    "seed": _Key("seed", int, {Scenario: _check_seed, WorldSpec: _check_seed}),
+    "policy": _Key("policy", str, {Scenario: _check_policy, AgentSpec: _check_policy}),
+    "schedule": _Key("schedule", str, {WorldSpec: _check_schedule}),
+    "t_max": _Key("t_max", int, {Scenario: _check_search_cap, WorldSpec: _check_t_max}),
+    # weighs the G cells; Scenario checks the weights with their cells
+    # (InvalidGoalError, without a line)
+    "goal_weights": _Key("goals", lambda text: tuple(float(v) for v in text.split(",")),
+                         {Scenario: lambda weights: None}, _weights_text),
+}
+
+# the objects a header sets, by the kind of file
+_HOLDERS = {Scenario: (Scenario,), WorldSpec: (WorldSpec, AgentSpec)}
+_KIND_NAMES = {Scenario: "single-agent", WorldSpec: "multi-agent"}
+
+
 def _parse_header(lines: list[str]) -> tuple[dict, int]:
-    values = dict(_DEFAULTS)
-    saw_key = False
-    for idx, raw in enumerate(lines):
-        line = raw.strip()
+    """Each header key's value and line number, and the grid's first line."""
+    values = {}
+    for idx, line in enumerate(raw.strip() for raw in lines):
         if line == "---":
             return values, idx + 1
-        if not line:
-            continue
-        if "=" not in line:
-            if saw_key:
+        if "=" in line:
+            key, _, value = (part.strip() for part in line.partition("="))
+            if key not in _KEYS:
+                raise ScenarioParseError(f"unknown header key {key!r}", idx + 1)
+            try:
+                values[key] = _KEYS[key].read(value), idx + 1
+            except ValueError:
+                raise ScenarioParseError(
+                    f"bad value {value!r} for {key!r}", idx + 1
+                ) from None
+        elif line:
+            if values:
                 raise ScenarioParseError(
                     "missing '---' separator between header and grid", idx + 1
                 )
-            # headerless file: the grid starts at the top
-            return dict(_DEFAULTS), 0
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key not in _DEFAULTS:
-            raise ScenarioParseError(f"unknown header key {key!r}", idx + 1)
+            break  # headerless file: the grid starts at the top
+    return {}, 0
+
+
+def _fields(header: dict, kind: type) -> dict[type, dict]:
+    """The header's values as fields of the objects they set in a ``kind``
+    file, each checked at its line by that object's checker; then a key that
+    ``kind`` does not hold, checked by all of its checkers, is refused."""
+    fields = {holder: {} for holder in _HOLDERS[kind]}
+    stray = []
+    for key, (value, line) in header.items():
+        entry = _KEYS[key]
+        holder = next((h for h in _HOLDERS[kind] if h in entry.checks), None)
         try:
-            values[key] = _READERS.get(key, str)(value)
-        except ValueError:
-            raise ScenarioParseError(
-                f"bad value {value!r} for {key!r}", idx + 1
-            ) from None
-        if key in _CHECKS:
-            try:
-                _CHECKS[key](values[key])
-            except ValueError as exc:
-                raise ScenarioParseError(str(exc), idx + 1) from None
-        saw_key = True
-    return dict(_DEFAULTS), 0
+            for check in [entry.checks[holder]] if holder else entry.checks.values():
+                check(value)
+        except ValueError as exc:
+            raise ScenarioParseError(str(exc), line) from None
+        if holder is None:
+            stray.append((key, line))
+        else:
+            fields[holder][entry.field] = value
+    if stray:
+        key, line = stray[0]
+        raise ScenarioParseError(f"{key} is not a {_KIND_NAMES[kind]} key", line)
+    return fields
 
 
 def parse_scenario(text: str) -> Scenario | WorldSpec:
@@ -115,25 +157,19 @@ def parse_scenario(text: str) -> Scenario | WorldSpec:
     lines = text.splitlines()
     header, body_start = _parse_header(lines)
 
-    grid_rows: list[str] = []
-    line_nos: list[int] = []
-    for idx in range(body_start, len(lines)):
-        line = lines[idx].rstrip("\n")
-        if not line.strip():
-            continue
-        grid_rows.append(line)
-        line_nos.append(idx + 1)
-    if not grid_rows:
+    body = [(no, row) for no, row in enumerate(lines, 1)
+            if no > body_start and row.strip()]
+    if not body:
         raise ScenarioParseError("no grid body found")
 
-    width = len(grid_rows[0])
+    width = len(body[0][1])
     start = None
     goals: list[tuple[int, int]] = []
     agent_starts: dict[str, tuple[int, int]] = {}
     agent_goals: dict[str, list[tuple[int, int]]] = {}
-    mask = np.zeros((len(grid_rows), width), dtype=np.uint8)
+    mask = np.zeros((len(body), width), dtype=np.uint8)
 
-    for i, (row, line_no) in enumerate(zip(grid_rows, line_nos)):
+    for i, (line_no, row) in enumerate(body):
         if len(row) != width:
             raise ScenarioParseError(
                 f"ragged grid: row has width {len(row)}, expected {width}",
@@ -178,35 +214,23 @@ def parse_scenario(text: str) -> Scenario | WorldSpec:
 
 
 def _single_scenario(grid, start, goals, header) -> Scenario:
+    fields = _fields(header, Scenario)[Scenario]
     if start is None:
         raise ScenarioParseError("goal present but no start 'S'")
     if not goals:
         raise ScenarioParseError("start present but no goal 'G'")
-    weights = header["goal_weights"]
-    if weights is None:
-        weighted = [(g, 1.0) for g in goals]
-    else:
-        if len(weights) != len(goals):
-            raise ScenarioParseError(
-                f"goal_weights has {len(weights)} entries for {len(goals)} goals"
-            )
-        weighted = list(zip(goals, weights))
-    return Scenario(
-        grid=grid,
-        start_cell=start,
-        goals=weighted,
-        horizon=None if header["horizon"] == "auto" else header["horizon"],
-        t_max=header["t_max"],
-        sharpness=header["kappa"],
-        stiffness=header["lambda"],
-        seed=header["seed"],
-        policy=header["policy"] or POLICY_ABORT,
-    )
+    weights = fields.pop("goals", (1.0,) * len(goals))
+    if len(weights) != len(goals):
+        raise ScenarioParseError(
+            f"goal_weights has {len(weights)} entries for {len(goals)} goals",
+            header["goal_weights"][1],
+        )
+    goals = list(zip(goals, weights))
+    return Scenario(grid=grid, start_cell=start, goals=goals, **fields)
 
 
 def _world_spec(grid, agent_starts, agent_goals, header) -> WorldSpec:
-    if header["goal_weights"] is not None:
-        raise ScenarioParseError("goal_weights applies to single-agent files only")
+    fields = _fields(header, WorldSpec)
     agents = []
     for digit in sorted(agent_starts):
         letter = _GOAL_LETTERS[_AGENT_DIGITS.index(digit)]
@@ -214,32 +238,17 @@ def _world_spec(grid, agent_starts, agent_goals, header) -> WorldSpec:
             raise ScenarioParseError(
                 f"agent {digit!r} has no goal letter {letter!r}"
             )
-        agents.append(
-            AgentSpec(
-                agent_id=int(digit),
-                start_cell=agent_starts[digit],
-                goals=[(g, 1.0) for g in agent_goals[letter]],
-                sharpness=header["kappa"],
-                stiffness=header["lambda"],
-                policy=header["policy"] or POLICY_WAIT,
-            )
-        )
+        agents.append(AgentSpec(int(digit), agent_starts[digit], agent_goals[letter],
+                                **fields[AgentSpec]))
     for letter in agent_goals:
         digit = _AGENT_DIGITS[_GOAL_LETTERS.index(letter)]
         if digit not in agent_starts:
             raise ScenarioParseError(
                 f"goal letter {letter!r} has no agent digit {digit!r}"
             )
-    t_max = header["t_max"]
-    if t_max is None:
-        t_max = 4 * grid.rows * grid.cols
-    return WorldSpec(
-        grid=grid,
-        agents=tuple(agents),
-        t_max=t_max,
-        schedule=header["schedule"],
-        seed=header["seed"],
-    )
+    # WorldSpec has no default budget: four sweeps of the grid area
+    world = {"t_max": 4 * grid.rows * grid.cols, **fields[WorldSpec]}
+    return WorldSpec(grid=grid, agents=tuple(agents), **world)
 
 
 def serialize_scenario(obj: Scenario | WorldSpec) -> str:
@@ -269,9 +278,14 @@ def _mark(rows: list[list[str]], grid: GridMap, cell, ch: str) -> None:
     rows[cell[0]][cell[1]] = ch
 
 
-def _unit_weights(goals) -> bool:
-    """Whether ``goals`` carry the weights that unweighted cells get."""
-    return tuple(goals) == _normalized_goals([cell for cell, _ in goals])
+def _file(holders: dict, rows: list[list[str]]) -> str:
+    """The text of a file whose header sets ``holders`` (holder type to
+    object): every key they hold, in ``_KEYS`` order, then the grid."""
+    texts = {key: entry.write(getattr(holders[h], entry.field))
+             for key, entry in _KEYS.items() for h in entry.checks if h in holders}
+    header = [f"{key} = {text}" for key, text in texts.items() if text is not None]
+    body = "\n".join("".join(r) for r in rows)
+    return "\n".join(header) + "\n---\n" + body + "\n"
 
 
 def _serialize_single(sc: Scenario) -> str:
@@ -281,24 +295,9 @@ def _serialize_single(sc: Scenario) -> str:
         raise ValueError("goal_stop=False has no header key")
     rows = _grid_chars(sc.grid)
     _mark(rows, sc.grid, sc.start_cell, "S")
-    ordered = sorted(sc.goals, key=lambda gw: gw[0])
-    for cell, _ in ordered:
+    for cell, _ in sorted(sc.goals, key=lambda gw: gw[0]):
         _mark(rows, sc.grid, cell, "G")
-    header = [
-        f"horizon = {'auto' if sc.horizon is None else sc.horizon}",
-        f"kappa = {sc.sharpness}",
-        f"lambda = {sc.stiffness}",
-        f"seed = {sc.seed}",
-        f"policy = {sc.policy}",
-    ]
-    if sc.t_max is not None:
-        header.append(f"t_max = {sc.t_max}")
-    # omitted only where unit weights normalize to the same ones: equal
-    # weights need not (three weights of 349525.96 normalize to 1/3 + 1 ulp)
-    if not _unit_weights(ordered):
-        header.append("goal_weights = " + ",".join(repr(w) for _, w in ordered))
-    body = "\n".join("".join(r) for r in rows)
-    return "\n".join(header) + "\n---\n" + body + "\n"
+    return _file({Scenario: sc}, rows)
 
 
 def _serialize_world(ws: WorldSpec) -> str:
@@ -308,9 +307,9 @@ def _serialize_world(ws: WorldSpec) -> str:
             raise ValueError(f"agent id {aid} has no grid digit (1-9)")
     if not ids or ids != sorted(set(ids)):
         raise ValueError(f"agent ids {ids} are not one or more increasing digits")
-    for key in ("sharpness", "stiffness", "policy"):
-        if len({getattr(spec, key) for spec in ws.agents}) > 1:
-            raise ValueError(f"agents differ in {key}; a file holds one for all")
+    for field in (entry.field for entry in _KEYS.values() if AgentSpec in entry.checks):
+        if len({getattr(spec, field) for spec in ws.agents}) > 1:
+            raise ValueError(f"agents differ in {field}; a file holds one for all")
     rows = _grid_chars(ws.grid)
     for spec in ws.agents:
         if spec.chase:
@@ -320,14 +319,4 @@ def _serialize_world(ws: WorldSpec) -> str:
         _mark(rows, ws.grid, spec.start_cell, _AGENT_DIGITS[spec.agent_id - 1])
         for cell, _ in spec.goals:
             _mark(rows, ws.grid, cell, _GOAL_LETTERS[spec.agent_id - 1])
-    first = ws.agents[0]
-    header = [
-        f"kappa = {first.sharpness}",
-        f"lambda = {first.stiffness}",
-        f"seed = {ws.seed}",
-        f"policy = {first.policy}",
-        f"schedule = {ws.schedule}",
-        f"t_max = {ws.t_max}",
-    ]
-    body = "\n".join("".join(r) for r in rows)
-    return "\n".join(header) + "\n---\n" + body + "\n"
+    return _file({AgentSpec: ws.agents[0], WorldSpec: ws}, rows)

@@ -264,12 +264,14 @@ def test_time_budgets_below_their_minimum_exit_two(tmp_path, capsys, corridor_fi
     assert main(["simulate", str(multi), "--out-dir", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: t_max must be at least 1, got -3\n"
+    assert captured.err == "scenario error: line 1: t_max must be at least 1, got -3\n"
     assert not out.exists()
     single = tmp_path / "single.txt"
     single.write_text("t_max = 1\n---\nS.G\n", encoding="utf-8")
     assert main(["plan", str(single)]) == 2
-    assert capsys.readouterr().err == "error: t_max must be at least 2\n"
+    assert capsys.readouterr().err == (
+        "scenario error: line 1: t_max must be at least 2, got 1\n"
+    )
 
 
 # header values (in range, out of range); the parser keeps the text as written
@@ -282,6 +284,8 @@ _HEADER_VALUES = {
     "seed": (["0", "7", "18446744073709551617"], ["-1"]),
     "t_max": (["2", "3", "8", "1000000"], ["-5", "0", "1"]),
     "policy": (["abort", "wait", "sample"], []),
+    # a multi-agent key: every single-agent file refuses it at its line
+    "schedule": (["fixed", "random"], ["bogus"]),
 }
 _WEIGHTS = (["1", "0.5", "3", "1e300", "1e-300", "5e-324"], ["0", "-1", "nan", "inf"])
 

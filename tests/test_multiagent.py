@@ -238,11 +238,26 @@ def test_a_round_without_two_slices_left_stands_still():
     rng = np.random.default_rng(0)
     after = multiagent.step_world(grid, state, specs, 4, [1, 2], rng)
     assert after.agents == tuple(
-        AgentSnapshot(s.agent_id, s.start_cell, STILL.index, False) for s in specs
+        AgentSnapshot(s.agent_id, s.start_cell, None, False) for s in specs
     )
     abort = [replace(specs[0], policy="abort")]
     with pytest.raises(NoFeasiblePathError, match=r"agent 1 blocked at \(0, 0\)"):
         multiagent.step_world(grid, state, abort, 4, [1], rng)
+
+
+@pytest.mark.parametrize("stiffness", [0.0, 0.5, 1.0])
+def test_a_wait_leaves_the_heading_free(stiffness):
+    # agent 1's goal is held by agent 2 in round one, so agent 1 waits; at
+    # stiffness 1 a still heading would bind it to standing still for good
+    grid = GridMap.empty(3, 3)
+    specs = [AgentSpec(1, (0, 0), [(0, 2)], stiffness=stiffness),
+             AgentSpec(2, (0, 2), [(2, 2)])]
+    result = simulate(specs, grid, 12)
+    assert not result.timed_out
+    assert result.states[1].by_id()[1] == AgentSnapshot(1, (0, 0), None, False)
+    assert result.paths[1].steps[0] == (1, (0, 0), STILL.index)
+    assert result.paths[1].cells()[-1] == (0, 2)
+    assert result.t_final == 4
 
 
 @pytest.mark.parametrize("stiffness", [1.5, float("nan")])
@@ -435,7 +450,7 @@ def _check_decision(grid, spec, snapshots, remaining, vanish, decision, chains):
     """A plan_step decision against the oracle: a move lowers the minimum
     time by one; a wait happens only where no path fits ``remaining``."""
     me = snapshots[spec.agent_id]
-    blocked = (me.cell, STILL.index, STILL.index, False)
+    blocked = (me.cell, STILL.index, None, False)
     dyn = dynamic_map(grid, snapshots, spec.agent_id,
                       include_arrived=not vanish, transparent=spec.chase)
     try:

@@ -257,6 +257,37 @@ def _oracle_feasible(scenario: Scenario, t_max: int) -> list[bool]:
     return feasible
 
 
+def _assert_decoders_follow_the_dense_chain(scenario: Scenario, horizon_at) -> None:
+    """``resolve_horizon`` gives the dense chain's minimum T_min, and both
+    decoders at the fixed horizon ``horizon_at(T_min)`` (T_min None where no
+    path fits the search cap) return a path onto a goal exactly where the
+    chain has one, else ``NoFeasiblePathError``."""
+    cap = scenario.search_cap
+    feasible = _oracle_feasible(scenario, cap + 4)
+    t_min = feasible.index(True) if True in feasible[: cap + 1] else None
+    if t_min is None:
+        with pytest.raises(UnreachableError):
+            resolve_horizon(scenario)
+    else:
+        assert resolve_horizon(scenario) == t_min
+    horizon = horizon_at(t_min)
+    if horizon >= len(feasible):
+        feasible = _oracle_feasible(scenario, horizon)
+    fixed = replace(scenario, horizon=horizon)
+    for plan in (sample_path, greedy_plan):
+        if not feasible[horizon]:
+            with pytest.raises(NoFeasiblePathError):
+                plan(fixed)
+            continue
+        path = plan(fixed)
+        validate_path(path, scenario.grid)
+        assert path.steps[0][1] == scenario.start_cell
+        if scenario.start_action is not None and len(path.steps) > 1:
+            assert path.steps[0][2] == scenario.start_action.index
+        assert path.reached_goal and path.steps[-1][1] in scenario.goal_cells
+        assert path_likelihood(path, fixed) > -math.inf
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.sampled_from([(1, 1), (1, 6), (5, 1)])
@@ -285,28 +316,49 @@ def test_decoders_follow_the_dense_chain_at_any_stiffness_and_pinned_action(
         grid, start, [(a, 1.0), (b, float(rng.choice([1.0, 0.1])))],
         start_action=start_action, stiffness=stiffness, seed=seed,
     )
-    cap = scenario.search_cap
-    feasible = _oracle_feasible(scenario, cap + 4)
-    t_min = feasible.index(True) if True in feasible[: cap + 1] else None
-    if t_min is None:
-        with pytest.raises(UnreachableError):
-            resolve_horizon(scenario)
-    else:
-        assert resolve_horizon(scenario) == t_min
-    horizon = max((t_min or 1) + slack, 1)
-    fixed = replace(scenario, horizon=horizon)
-    for plan in (sample_path, greedy_plan):
-        if not feasible[horizon]:
-            with pytest.raises(NoFeasiblePathError):
-                plan(fixed)
-            continue
-        path = plan(fixed)
-        validate_path(path, grid)
-        assert path.steps[0][1] == start
-        if start_action is not None and len(path.steps) > 1:
-            assert path.steps[0][2] == start_action.index
-        assert path.reached_goal and path.steps[-1][1] in (a, b)
-        assert path_likelihood(path, fixed) > -math.inf
+    _assert_decoders_follow_the_dense_chain(
+        scenario, lambda t_min: max((t_min or 1) + slack, 1)
+    )
+
+
+@st.composite
+def _long_maps(draw):
+    """A 1 x N corridor of up to 60 cells, or a map of up to 6 x 10 split by
+    a wall with one door, and a start and a goal at far ends of it."""
+    if draw(st.booleans()):
+        cols = draw(st.integers(2, 60))
+        ends = [(0, draw(st.integers(0, cols // 4))), (0, cols - 1)]
+        return GridMap.empty(1, cols), *draw(st.permutations(ends))
+    rows, cols = draw(st.integers(2, 6)), draw(st.integers(3, 10))
+    wall, door = draw(st.integers(1, cols - 2)), draw(st.integers(0, rows - 1))
+    grid = GridMap.empty(rows, cols).with_obstacles(
+        [(r, wall) for r in range(rows) if r != door]
+    )
+    start = (draw(st.integers(0, rows - 1)), draw(st.integers(0, wall - 1)))
+    goal = (draw(st.integers(0, rows - 1)), draw(st.integers(wall + 1, cols - 1)))
+    return grid, start, goal
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    _long_maps(),
+    st.sampled_from([0.0, 0.5, 1.0]),
+    st.none() | st.sampled_from(ACTIONS),
+    st.floats(0.0, 3.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_decoders_follow_the_dense_chain_at_long_horizons(
+    case, stiffness, start_action, stretch, seed
+):
+    # horizons from the minimum to four times it, where a long horizon
+    # must not turn a feasible plan into a vanished posterior
+    grid, start, goal = case
+    scenario = Scenario(
+        grid, start, [goal], start_action=start_action, stiffness=stiffness, seed=seed
+    )
+    _assert_decoders_follow_the_dense_chain(
+        scenario, lambda t_min: round((t_min or 2) * (1 + stretch))
+    )
 
 
 def test_sample_path_below_minimum_time_is_plainly_infeasible():

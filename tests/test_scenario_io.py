@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -161,6 +161,27 @@ def test_round_trip_identity_on_bundled_fixtures(name):
     assert first == second
     # serialization is a fixed point after one round
     assert serialize_scenario(first) == serialize_scenario(second)
+
+
+def test_the_serializer_writes_the_keys_of_each_kind_in_one_order():
+    sc = parse_scenario(
+        "goal_weights = 1,3\nt_max = 9\npolicy = wait\nseed = 4\nlambda = 0.5\n"
+        "kappa = 0.7\nhorizon = 6\n---\nS.G\n..G\n"
+    )
+    assert serialize_scenario(sc) == (
+        "horizon = 6\nkappa = 0.7\nlambda = 0.5\nseed = 4\npolicy = wait\n"
+        "t_max = 9\ngoal_weights = 0.25,0.75\n---\nS.G\n..G\n"
+    )
+    # a search bound and goal weights left out are not written
+    assert serialize_scenario(parse_scenario("---\nS.G\n")) == (
+        "horizon = auto\nkappa = 0.8\nlambda = 0.0\nseed = 0\npolicy = abort\n"
+        "---\nS.G\n"
+    )
+    world = parse_scenario("---\n1.a\n")
+    assert serialize_scenario(world) == (
+        "kappa = 0.8\nlambda = 0.0\nseed = 0\npolicy = wait\nschedule = fixed\n"
+        "t_max = 12\n---\n1.a\n"
+    )
 
 
 def test_weighted_goals_survive_round_trip():
@@ -441,3 +462,100 @@ def test_random_scenarios_round_trip_or_are_refused(case):
 @given(world_specs())
 def test_random_worlds_round_trip_or_are_refused(case):
     _assert_round_trip_or_refusal(*case)
+
+
+# -- every header key in both kinds of file -----------------------------------
+
+_UNREADABLE = object()
+_BOTH, _NEITHER = ("single", "world"), ()
+_NAN = float("nan")
+_GRIDS = {"single": "S.G\n..G\n", "world": "1.a\n2.b\n"}
+
+# key: the field it sets, the kinds of file that hold it, and its values as
+# (text, value read, the kinds of file whose objects accept the value); a
+# kind that does not hold the key checks it as the kind that does
+_HEADER = {
+    "horizon": ("horizon", ("single",), [
+        ("auto", None, _BOTH), ("1", 1, _BOTH), ("7", 7, _BOTH), ("0", 0, _NEITHER),
+        ("-2", -2, _NEITHER), ("soon", _UNREADABLE, _NEITHER)]),
+    "kappa": ("sharpness", _BOTH, [
+        ("0.8", 0.8, _BOTH), ("0.05", 0.05, _BOTH), ("1", 1.0, _NEITHER),
+        ("0", 0.0, _NEITHER), ("nan", _NAN, _NEITHER), ("x", _UNREADABLE, _NEITHER)]),
+    "lambda": ("stiffness", _BOTH, [
+        ("0", 0.0, _BOTH), ("0.5", 0.5, _BOTH), ("1", 1.0, _BOTH),
+        ("1.5", 1.5, _NEITHER), ("-0.1", -0.1, _NEITHER), ("nan", _NAN, _NEITHER)]),
+    "seed": ("seed", _BOTH, [
+        ("0", 0, _BOTH), ("7", 7, _BOTH), ("-1", -1, _NEITHER),
+        ("1.5", _UNREADABLE, _NEITHER)]),
+    "policy": ("policy", _BOTH, [
+        *((p, p, _BOTH) for p in POLICIES), ("bogus", "bogus", _NEITHER)]),
+    "schedule": ("schedule", ("world",), [
+        *((s, s, _BOTH) for s in SCHEDULES), ("bogus", "bogus", _NEITHER)]),
+    "t_max": ("t_max", _BOTH, [
+        ("2", 2, _BOTH), ("40", 40, _BOTH), ("1", 1, ("world",)), ("0", 0, _NEITHER),
+        ("-3", -3, _NEITHER), ("2.5", _UNREADABLE, _NEITHER)]),
+    "goal_weights": ("goals", ("single",), [
+        ("1,3", (1.0, 3.0), _BOTH), ("2", (2.0,), _BOTH), ("nan,1", (_NAN, 1.0), _BOTH),
+        ("1,x", _UNREADABLE, _NEITHER)]),
+}
+
+
+@st.composite
+def headers(draw):
+    """A kind of file and some distinct header keys in any order, each with
+    a value in or out of range, or unreadable."""
+    keys = draw(st.permutations(sorted(_HEADER)))[: draw(st.integers(0, len(_HEADER)))]
+    return draw(st.sampled_from(_BOTH)), [
+        (key, draw(st.sampled_from(_HEADER[key][2]))) for key in keys
+    ]
+
+
+def _refused_at(text: str, line: int) -> None:
+    with pytest.raises(ScenarioParseError) as err:
+        parse_scenario(text)
+    assert err.value.line == line
+
+
+@settings(max_examples=500, deadline=None)
+@given(headers())
+def test_every_header_value_is_carried_or_refused_at_its_line(case):
+    kind, picks = case
+    text = "".join(f"{key} = {text}\n" for key, (text, _, _) in picks)
+    text += "---\n" + _GRIDS[kind]
+    lines = {key: n for n, (key, _) in enumerate(picks, 1)}
+    # refused in this order: the first value that cannot be read, the first
+    # value out of range, the first key the file's kind does not hold
+    for refused in (
+        [key for key, (_, value, _) in picks if value is _UNREADABLE],
+        [key for key, (_, _, accepted) in picks if kind not in accepted],
+        [key for key, _ in picks if kind not in _HEADER[key][1]],
+    ):
+        if refused:
+            _refused_at(text, lines[refused[0]])
+            return
+    values = {key: value for key, (_, value, _) in picks}
+    weights = values.pop("goal_weights", (1.0, 1.0))
+    if len(weights) != 2:
+        _refused_at(text, lines["goal_weights"])
+        return
+    if not all(np.isfinite(weights)):
+        with pytest.raises(InvalidGoalError, match="goal weights must be finite"):
+            parse_scenario(text)
+        return
+    parsed = parse_scenario(text)
+    if kind == "single":
+        holders = [parsed]
+        total = sum(weights)
+        assert parsed.goals == tuple(zip([(0, 2), (1, 2)], (w / total for w in weights)))
+    else:
+        holders = [*parsed.agents, parsed]
+        assert [a.goals for a in parsed.agents] == [(((0, 2), 1.0),), (((1, 2), 1.0),)]
+    for key, (name, kinds, _) in _HEADER.items():
+        if kind not in kinds or key == "goal_weights":
+            continue
+        for obj in (h for h in holders if hasattr(h, name)):
+            # a key left out takes the default of the object it sets; a
+            # world's budget, which has none, is four sweeps of the map
+            default = {f.name: f.default for f in fields(obj)}[name]
+            want = values.get(key, 24 if default is MISSING else default)
+            assert getattr(obj, name) == want, key
