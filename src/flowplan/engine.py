@@ -22,17 +22,20 @@ for the sum-product messages, the same on bools (OR, AND) for the support
 chain and for a sum-product one that cannot underflow.  Every sweep
 spreads the stencil per slice from a seed: the start cell for the forward
 flow, the bounding box of the goal's support for the backward ones.
-Each pass runs only on its input's box grown by one cell and clipped to
-the grid (the support window), which becomes the whole grid once it
-reaches every edge.  Cells outside the window would only receive the
-semiring's zero, and normalizing sums still run over the full arrays, so
-every result is bit-identical to a whole-grid pass.
+Each pass, and the action mix after it, runs on crops to its input's box
+grown by one cell and clipped to the grid (the support window).  Cells
+outside it would only receive the semiring's zero, so every pass is
+bit-identical to a whole-grid one, and so is the mix: BLAS rounds a
+matmul's rows alike at every width but one column, and a window is one
+column wide only on a grid that is.
 
 The public sum-product messages are whole-grid arrays that carry the box
-of their support; a tensor built by a caller has no box and is treated as
-whole-grid.  The boolean sweeps and the decoders' backward chains run
-through one generator (``_sweep``) that keeps each slice as a crop on its
-window (``_Crop``), the semiring's zero elsewhere.
+of their support (one a caller builds has none: the whole grid); one
+helper (``_normalized``) places each step's crop and divides it by the
+whole array's sum, a whole-grid step's sum in its order.  The boolean
+sweeps and the decoders' backward chains run through one generator
+(``_sweep``) that keeps each slice as a crop on its window (``_Crop``),
+the semiring's zero elsewhere.
 
 Both ends are used where only reachability or one path matters.
 ``min_time`` grows boolean support from the start and from the goal,
@@ -64,7 +67,6 @@ POSTERIOR = "posterior"
 _OFFSETS = (-1, 0, 1)
 
 Box = tuple[slice, slice]  # (rows, cols) slices of the grid
-_WHOLE: Box = (slice(None), slice(None))
 
 # (zero, add, multiply); on bools the sum-product is OR and AND
 _Semiring = tuple[float, Callable, Callable]
@@ -199,7 +201,6 @@ def _shift(
     values: np.ndarray,
     stencils: np.ndarray,
     gather: bool,
-    window: Box = _WHOLE,
     semiring: _Semiring = _SUM,
 ) -> np.ndarray:
     """Move mass one step along every stencil entry.
@@ -220,22 +221,31 @@ def _shift(
     keeps each pair's best successor instead of the sum, -inf where there
     is none; ``_LSE`` on them keeps the log of the sum.
 
-    The pass runs on ``window`` only, the support window of ``values``
-    (see ``_grow``): ``out``, ``stencils`` and ``values`` are cropped to
-    it and the window's edges act as the grid's.  Every term this drops
-    is the semiring's zero, so the result is bit-identical to the
-    whole-grid pass, and the zero outside the window.
+    Callers crop ``values`` and ``stencils`` to the pass's window, whose
+    edges act as the grid's; on the support window (``_grow``) the crop
+    drops only the semiring's zero: bit for bit the whole-grid pass there.
     """
     zero, add, multiply = semiring
     out = np.zeros(stencils.shape[:3], np.result_type(stencils, values))
     if zero:
         out.fill(zero)
-    crop, stencils, values = out[window], stencils[window], values[window]
     for u, v, src, dst in _offsets(*stencils.shape[:2]):
         into, source = (src, dst) if gather else (dst, src)
-        view = crop[into]
+        view = out[into]
         add(view, multiply(stencils[src][..., u, v], values[source]), out=view)
     return out
+
+
+def _normalized(crop: np.ndarray, box: Box, shape: tuple) -> tuple[np.ndarray, float]:
+    """``crop`` placed at ``box`` on zeros of the whole grid's ``shape``,
+    divided by that array's sum when positive, and the sum: summed over the
+    whole array in a whole-grid step's order, so both are bit-identical."""
+    out = np.zeros(shape + crop.shape[2:])
+    out[box] = crop
+    total = out.sum()
+    if total > 0.0:
+        out[box] /= total
+    return out, total
 
 
 def _max_mixer(p_action: np.ndarray) -> _Mix:
@@ -275,12 +285,12 @@ def _forward(
     summed over actions for the final cell marginal.  Returns the values
     normalized to mass 1, the total they were divided by, and the window."""
     window = _grow(f_prev._box, kernel)
-    moved = _shift(f_prev.values, kernel.stencils, False, window)
-    out = moved.sum(axis=2) if p_action is None else moved @ p_action
-    total = out.sum()
+    moved = _shift(f_prev.values[window], kernel.stencils[window], False)
+    mixed = moved.sum(axis=2) if p_action is None else moved @ p_action
+    out, total = _normalized(mixed, window, kernel.stencils.shape[:2])
     if total == 0.0:
         raise DeadFlowError("forward mass vanished (support on obstacles only)")
-    return out / total, total, window
+    return out, total, window
 
 
 def forward_step(
@@ -302,11 +312,9 @@ def backward_step(
     if b_next.kind != BACKWARD:
         raise ValueError("backward_step expects a backward message")
     window = _grow(b_next._box, kernel)
-    mixed = b_next.values @ p_action.T
-    out = _shift(mixed, kernel.stencils, True, window)
-    total = out.sum()
-    if total > 0.0:
-        out /= total
+    mixed = b_next.values[window] @ p_action.T
+    moved = _shift(mixed, kernel.stencils[window], True)
+    out, _ = _normalized(moved, window, kernel.stencils.shape[:2])
     return _message(out, BACKWARD, window)
 
 
@@ -316,11 +324,11 @@ def backward_terminal(
     """Backward message one step before the horizon, gathered from the goal."""
     goal = _checked_goal(goal, kernel)
     window = _grow(_box_of(goal > 0.0), kernel)
-    out = _shift(goal[:, :, None], kernel.stencils, True, window)
-    total = out.sum()
+    moved = _shift(goal[window][:, :, None], kernel.stencils[window], True)
+    out, total = _normalized(moved, window, goal.shape)
     if total == 0.0:
         raise InvalidGoalError("goal mass sits entirely on obstacle cells")
-    return _message(out / total, BACKWARD, window)
+    return _message(out, BACKWARD, window)
 
 
 def forward_final(
@@ -336,19 +344,13 @@ def posterior(f: MessageTensor, b: MessageTensor) -> MessageTensor:
     """Normalized pointwise product; dead (all-zero) if supports are disjoint.
 
     The product runs on the intersection of the two boxes only, the
-    result's box; outside it one factor is zero, and the sum still runs
-    over the full array, so the result is bit-identical to a whole-grid
-    product.
+    result's box: outside it one factor is zero.
     """
     if f.values.shape != b.values.shape:
         raise ValueError("forward/backward shapes differ")
     whole = tuple(slice(0, k) for k in f.values.shape[:2])
     box = _intersect(f._box or whole, b._box or whole)
-    out = np.zeros(f.values.shape)
-    out[box] = f.values[box] * b.values[box]
-    total = out.sum()
-    if total > 0.0:
-        out[box] /= total
+    out, _ = _normalized(f.values[box] * b.values[box], box, f.values.shape[:2])
     return _message(out, POSTERIOR, box)
 
 
@@ -455,16 +457,13 @@ def run_flows(
         values, total, window = _forward(forward[-1], kernel, p_action)
         norms.append(total)
         forward.append(_message(values, FORWARD, window))
-    forward_fin, total, _ = _forward(forward[-1], kernel, None)
+    forward_fin, total, window = _forward(forward[-1], kernel, None)
     norms.append(total)
 
     backward = backward_flow(kernel, p_action, goal, horizon)
 
     posteriors = [posterior(f, b) for f, b in zip(forward, backward)]
-    post_fin = forward_fin * goal
-    total = post_fin.sum()
-    if total > 0.0:
-        post_fin = post_fin / total
+    post_fin, _ = _normalized(forward_fin[window] * goal[window], window, goal.shape)
 
     return FlowSet(
         horizon=horizon,
@@ -675,7 +674,7 @@ def _sweep(
         window = _grow(crop.box, kernel)
         if clip is not None:
             window = _intersect(window, clip(k))
-        out = _shift(crop[window], stencils[window], gather, semiring=semiring)
+        out = _shift(crop[window], stencils[window], gather, semiring)
         if gather:
             yield _Crop(window, out, zero)
         crop = _Crop(window, mix(out), zero)

@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ScenarioParseError
+from .errors import InvalidGoalError, ScenarioParseError
 from .grid import GridMap, _check_stiffness
 from .multiagent import AgentSpec, _check_schedule, _check_t_max
 from .planner import Scenario, _check_horizon, _check_policy, _check_search_cap
@@ -92,8 +92,8 @@ _KEYS = {
     "policy": _Key("policy", str, {Scenario: _check_policy, AgentSpec: _check_policy}),
     "schedule": _Key("schedule", str, {WorldSpec: _check_schedule}),
     "t_max": _Key("t_max", int, {Scenario: _check_search_cap, WorldSpec: _check_t_max}),
-    # weighs the G cells; Scenario checks the weights with their cells
-    # (InvalidGoalError, without a line)
+    # weighs the G cells; Scenario checks the weights with their cells, and
+    # _single_scenario refuses them at this key's line
     "goal_weights": _Key("goals", lambda text: tuple(float(v) for v in text.split(",")),
                          {Scenario: lambda weights: None}, _weights_text),
 }
@@ -226,7 +226,10 @@ def _single_scenario(grid, start, goals, header) -> Scenario:
             header["goal_weights"][1],
         )
     goals = list(zip(goals, weights))
-    return Scenario(grid=grid, start_cell=start, goals=goals, **fields)
+    try:
+        return Scenario(grid=grid, start_cell=start, goals=goals, **fields)
+    except InvalidGoalError as exc:  # G cells are free: only weights are refused
+        raise ScenarioParseError(str(exc), header["goal_weights"][1]) from None
 
 
 def _world_spec(grid, agent_starts, agent_goals, header) -> WorldSpec:

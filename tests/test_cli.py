@@ -100,7 +100,9 @@ def test_non_finite_goal_weights_exit_two(tmp_path, capsys):
     assert main(["plan", str(f)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "scenario error: goal weights must be finite, got nan\n"
+    assert captured.err == (
+        "scenario error: line 1: goal weights must be finite, got nan\n"
+    )
 
 
 def test_underflowing_goal_weights_exit_two(tmp_path, capsys):
@@ -110,8 +112,19 @@ def test_underflowing_goal_weights_exit_two(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "scenario error: goal weight of (1, 2) underflows to 0 against the total\n"
+        "scenario error: line 1: goal weight of (1, 2) underflows to 0 against the "
+        "total\n"
     )
+
+
+@pytest.mark.parametrize("weights", ["nan,1", "0,1", "-1,1", "1e308,1e-300"])
+def test_bad_goal_weights_exit_two_at_their_line(tmp_path, capsys, weights):
+    f = tmp_path / "weights.txt"
+    f.write_text(f"goal_weights = {weights}\n---\nS.G\n..G\n", encoding="utf-8")
+    assert main(["plan", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("scenario error: line 1: goal weight")
 
 
 def test_one_process_answers_as_fresh_ones(capsys, empty5_file):

@@ -132,7 +132,8 @@ def test_messages_copy_a_writable_input_and_keep_a_frozen_one():
     assert MessageTensor(frozen, FORWARD).values is frozen
     # the engine freezes what it builds, so its messages hold those arrays
     built = np.zeros((2, 2, N_ACTIONS))
-    assert engine._message(built, FORWARD, engine._WHOLE).values is built
+    box = (slice(0, 2), slice(0, 2))
+    assert engine._message(built, FORWARD, box).values is built
 
 
 def test_a_read_only_view_of_a_writable_array_is_copied():
@@ -231,13 +232,18 @@ def test_windowed_passes_equal_the_whole_grid_pass(shape, sharpness, seed, data)
             if values.shape[2] == 1 and not gather:
                 continue
             for v, s in ((values, stencils), (values > 0.0, support)):
-                windowed = _shift(v, s, gather, window)
-                assert windowed.tobytes() == _shift(v, s, gather).tobytes()
+                # the pass on crops to the window is the whole-grid pass
+                # there, and the whole-grid pass is zero outside it
+                whole = _shift(v, s, gather)
+                windowed = _shift(v[window], s[window], gather)
+                assert windowed.tobytes() == whole[window].tobytes()
+                assert not _outside(whole, window).any()
     log_stencils = _log(stencils)
     for semiring in (_MAX, _LSE):
-        whole = _shift(_log(x), log_stencils, True, semiring=semiring)
-        windowed = _shift(_log(x), log_stencils, True, window, semiring=semiring)
-        assert windowed.tobytes() == whole.tobytes()
+        whole = _shift(_log(x), log_stencils, True, semiring)
+        windowed = _shift(_log(x)[window], log_stencils[window], True, semiring)
+        assert windowed.tobytes() == whole[window].tobytes()
+        assert (_outside(whole, window, -np.inf) == -np.inf).all()
     # every crop of a sweep, expanded with its fill, is the whole-grid pass
     kind = data.draw(st.sampled_from(["0", "0.5", "1", "general"]))
     p_sweep = _p_action(kind, np.random.default_rng([seed, 1]))
@@ -720,6 +726,58 @@ def test_run_flows_forward_normalization_and_support(rng):
         for q in flows.posterior:
             assert not q.values[blocked].any()
         assert not flows.forward_final[blocked].any()
+
+
+def _whole_grid_flows(kernel, p, start, goal, horizon, start_actions):
+    """``run_flows``' arrays by the whole-grid recursion: every pass, action
+    mix, product, sum and division runs on whole-grid arrays."""
+    goal = engine._checked_goal(goal, kernel)
+    stencils = kernel.stencils
+    forward, norms = [initial_forward(kernel, start, start_actions).values], []
+    for _ in range(2, horizon):
+        moved = _shift(forward[-1], stencils, False) @ p
+        norms.append(moved.sum())
+        forward.append(moved / norms[-1])
+    fin = _shift(forward[-1], stencils, False).sum(axis=2)
+    norms.append(fin.sum())
+    fin = fin / norms[-1]
+    gathered = _shift(goal[:, :, None], stencils, True)
+    backward = [gathered / gathered.sum()]
+    for _ in range(horizon - 2):
+        gathered = _shift(backward[-1] @ p.T, stencils, True)
+        total = gathered.sum()
+        backward.append(gathered / total if total > 0.0 else gathered)
+    backward.reverse()
+    products = [f * b for f, b in zip(forward, backward)] + [fin * goal]
+    posteriors = [q / q.sum() if q.sum() > 0.0 else q for q in products]
+    return forward, fin, norms, backward, goal, posteriors
+
+
+@pytest.mark.parametrize("pinned", [None, 0, ACTION_BY_NAME["right"].index])
+@pytest.mark.parametrize("stiffness", [0.0, 0.5, 1.0])
+def test_run_flows_is_bit_identical_to_the_whole_grid_recursion(rng, stiffness, pinned):
+    # the steps run on crops of the support window and sum the whole grid
+    # in the whole-grid order, so every byte matches, including the norms;
+    # a window is one column wide only on a one-column grid, where BLAS
+    # takes another path for the action mix
+    p = action_matrix(stiffness)
+    start_actions = None if pinned is None else np.eye(N_ACTIONS)[pinned]
+    for rows, cols, extra in ((9, 13, 2), (6, 7, 12), (1, 15, 3), (12, 1, 4)):
+        grid, start, goal_cell, d = feasible_instance(rng, rows, cols, 0.2)
+        kernel = build_kernel(grid)
+        goal = goal_marginal([goal_cell], grid)
+        horizon = d + extra
+        flows = run_flows(kernel, p, start, goal, horizon, start_actions)
+        forward, fin, norms, backward, goal, posteriors = _whole_grid_flows(
+            kernel, p, start, goal, horizon, start_actions
+        )
+        got = [m.values for m in (*flows.forward, *flows.backward, *flows.posterior)]
+        got += [flows.forward_final, flows.backward_final, flows.posterior_final]
+        want = [*forward, *backward, *posteriors[:-1], fin, goal, posteriors[-1]]
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert np.array(flows.forward_norms).tobytes() == np.array(norms).tobytes()
 
 
 def test_min_time_start_on_goal_is_one():

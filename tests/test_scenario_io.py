@@ -60,15 +60,41 @@ def test_fixed_horizon_and_weights():
 
 def test_non_finite_goal_weights_are_refused():
     for weights in ("nan,1", "1,inf", "-inf,1"):
-        text = f"goal_weights = {weights}\n---\nS.G\n..G\n"
-        with pytest.raises(InvalidGoalError, match="goal weights must be finite"):
+        text = f"kappa = 0.8\ngoal_weights = {weights}\n---\nS.G\n..G\n"
+        with pytest.raises(
+            ScenarioParseError, match="^line 2: goal weights must be finite"
+        ) as err:
             parse_scenario(text)
+        assert err.value.line == 2
 
 
 def test_goal_weights_that_underflow_are_refused():
     text = "goal_weights = 1e308,1e-300\n---\nS.G\n..G\n"
-    with pytest.raises(InvalidGoalError, match=r"goal weight of \(1, 2\) underflows"):
+    with pytest.raises(
+        ScenarioParseError, match=r"^line 1: goal weight of \(1, 2\) underflows"
+    ) as err:
         parse_scenario(text)
+    assert err.value.line == 1
+
+
+_BAD_WEIGHTS = [
+    ("nan,1", "goal weights must be finite, got nan"),
+    ("0,1", "goal weights must be positive"),
+    ("-1,1", "goal weights must be positive"),
+    ("1e308,1e-300", r"goal weight of \(1, 2\) underflows to 0 against the total"),
+]
+
+
+@pytest.mark.parametrize("weights, message", _BAD_WEIGHTS)
+def test_bad_goal_weights_are_refused_at_their_line(weights, message):
+    text = f"goal_weights = {weights}\n---\nS.G\n..G\n"
+    with pytest.raises(ScenarioParseError, match=f"^line 1: {message}$") as err:
+        parse_scenario(text)
+    assert err.value.line == 1
+    # the constructor still refuses them without a line
+    cells_weights = zip([(0, 2), (1, 2)], (float(w) for w in weights.split(",")))
+    with pytest.raises(InvalidGoalError, match=f"^{message}$"):
+        Scenario(GridMap.empty(2, 3), (0, 0), list(cells_weights))
 
 
 def test_goal_weights_whose_sum_overflows_parse():
@@ -539,8 +565,7 @@ def test_every_header_value_is_carried_or_refused_at_its_line(case):
         _refused_at(text, lines["goal_weights"])
         return
     if not all(np.isfinite(weights)):
-        with pytest.raises(InvalidGoalError, match="goal weights must be finite"):
-            parse_scenario(text)
+        _refused_at(text, lines["goal_weights"])
         return
     parsed = parse_scenario(text)
     if kind == "single":
