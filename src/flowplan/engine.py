@@ -29,13 +29,13 @@ bit-identical to a whole-grid one, and so is the mix: BLAS rounds a
 matmul's rows alike at every width but one column, and a window is one
 column wide only on a grid that is.
 
-The public sum-product messages are whole-grid arrays that carry the box
-of their support (one a caller builds has none: the whole grid); one
-helper (``_normalized``) places each step's crop and divides it by the
-whole array's sum, a whole-grid step's sum in its order.  The boolean
-sweeps and the decoders' backward chains run through one generator
-(``_sweep``) that keeps each slice as a crop on its window (``_Crop``),
-the semiring's zero elsewhere.
+Every slice is a crop on its box (``_Crop``), the semiring's zero
+elsewhere: the boolean sweeps and the decoders' chains from one generator
+(``_sweep``), and the public sum-product messages, whose ``values`` places
+the crop on the whole grid at each read.  One helper (``_normalized``)
+divides each step's crop by the whole message's sum, summed in a
+whole-grid step's order (so every message and norm is bit-identical) on a
+whole-grid zero buffer that one ``run_flows`` or ``backward_flow`` reuses.
 
 Both ends are used where only reachability or one path matters.
 ``min_time`` grows boolean support from the start and from the goal,
@@ -76,19 +76,21 @@ _MAX: _Semiring = (-np.inf, np.maximum, np.add)  # max-product on logs
 _LSE: _Semiring = (-np.inf, np.logaddexp, np.add)  # sum-product on logs
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class MessageTensor:
-    """A single forward, backward, or posterior message at one time step."""
+    """A single forward, backward, or posterior message at one time step,
+    kept as a crop on the box of its nonzero cells, zero elsewhere (``_box``;
+    None, the whole grid, for one a caller built)."""
 
-    values: np.ndarray  # (rows, cols, N_ACTIONS), nonnegative
     kind: str
-    # bounding box of the nonzero cells, set by the engine; None = whole grid
-    _box: Box | None = field(default=None, init=False, repr=False)
+    _box: Box | None = field(repr=False)
+    _crop: _Crop = field(repr=False)
+    _grid: Box = field(repr=False)  # the whole grid
 
-    def __post_init__(self):
-        if self.kind not in (FORWARD, BACKWARD, POSTERIOR):
-            raise ValueError(f"unknown message kind {self.kind!r}")
-        values = np.asarray(self.values, dtype=float)
+    def __init__(self, values: np.ndarray, kind: str):
+        if kind not in (FORWARD, BACKWARD, POSTERIOR):
+            raise ValueError(f"unknown message kind {kind!r}")
+        values = np.asarray(values, dtype=float)
         if values.ndim != 3 or values.shape[2] != N_ACTIONS:
             raise ValueError(f"message values must be (rows, cols, 9): {values.shape}")
         if values.flags.writeable or not values.flags.owndata:
@@ -96,15 +98,26 @@ class MessageTensor:
             # and a write through another view cannot change the message
             values = values.copy()
         values.flags.writeable = False
-        object.__setattr__(self, "values", values)
+        grid = (slice(0, values.shape[0]), slice(0, values.shape[1]))
+        crop = _Crop(grid, values, 0.0)
+        vars(self).update(kind=kind, _box=None, _crop=crop, _grid=grid)
+
+    @property
+    def values(self) -> np.ndarray:
+        """(rows, cols, N_ACTIONS), nonnegative and read-only: the crop on
+        zeros of the whole grid, a new array at each read unless it covers it."""
+        values = self._crop[self._grid]
+        values.flags.writeable = False
+        return values
 
     @property
     def is_dead(self) -> bool:
-        return not self.values.any()
+        return not self._crop.values.any()
 
     def state_marginal(self) -> np.ndarray:
         """Mass per cell, summed over the action axis."""
-        return self.values.sum(axis=2)
+        crop = self._crop
+        return _Crop(crop.box, crop.values.sum(axis=2), 0.0)[self._grid]
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,12 +201,12 @@ def _area(box: Box) -> int:
     return (box[0].stop - box[0].start) * (box[1].stop - box[1].start)
 
 
-def _message(values: np.ndarray, kind: str, box: Box) -> MessageTensor:
-    """An array the engine built, frozen so that the message keeps it
+def _message(crop: np.ndarray, kind: str, box: Box, grid: Box) -> MessageTensor:
+    """A crop the engine built on ``box`` of ``grid``, frozen and kept
     uncopied, as a message supported in ``box``."""
-    values.flags.writeable = False
-    message = MessageTensor(values, kind)
-    object.__setattr__(message, "_box", box)
+    crop.flags.writeable = False
+    message = object.__new__(MessageTensor)
+    vars(message).update(kind=kind, _box=box, _crop=_Crop(box, crop, 0.0), _grid=grid)
     return message
 
 
@@ -236,16 +249,17 @@ def _shift(
     return out
 
 
-def _normalized(crop: np.ndarray, box: Box, shape: tuple) -> tuple[np.ndarray, float]:
-    """``crop`` placed at ``box`` on zeros of the whole grid's ``shape``,
-    divided by that array's sum when positive, and the sum: summed over the
-    whole array in a whole-grid step's order, so both are bit-identical."""
-    out = np.zeros(shape + crop.shape[2:])
-    out[box] = crop
-    total = out.sum()
+def _normalized(crop: np.ndarray, box: Box, buffer: np.ndarray) -> float:
+    """Divide ``crop``, a message's values on ``box``, in place by the
+    message's sum when positive, and return the sum.  It is the sum of
+    ``buffer``, whole-grid zeros that the crop is written into and erased
+    from again: a whole-grid step's order, so both are bit-identical."""
+    buffer[box] = crop
+    total = buffer.sum()
+    buffer[box] = 0.0
     if total > 0.0:
-        out[box] /= total
-    return out, total
+        crop /= total
+    return total
 
 
 def _max_mixer(p_action: np.ndarray) -> _Mix:
@@ -277,20 +291,32 @@ def _sum_mixer(p_action: np.ndarray) -> _Mix:
     return lambda v: (v / total if (total := v.sum()) > 0.0 else v) @ p_t
 
 
+def _window(message: MessageTensor, kernel: TransitionKernel) -> Box:
+    """The support window of a pass of ``kernel`` on ``message``."""
+    rows, cols = message._grid
+    if (rows.stop, cols.stop) != kernel.stencils.shape[:2]:
+        raise ValueError(f"{message.kind} message shape does not match the grid")
+    return _grow(message._box, kernel)
+
+
 def _forward(
-    f_prev: MessageTensor, kernel: TransitionKernel, p_action: np.ndarray | None
+    f_prev: MessageTensor,
+    kernel: TransitionKernel,
+    p_action: np.ndarray | None,
+    buffer: np.ndarray,
 ) -> tuple[np.ndarray, float, Box]:
     """One forward move: the scatter of ``f_prev`` on its support window,
     mixed over the previous action axis by ``p_action`` or, given None,
-    summed over actions for the final cell marginal.  Returns the values
-    normalized to mass 1, the total they were divided by, and the window."""
-    window = _grow(f_prev._box, kernel)
-    moved = _shift(f_prev.values[window], kernel.stencils[window], False)
+    summed over actions for the final cell marginal.  Returns the crop on
+    the window normalized to mass 1 (``_normalized`` on ``buffer``), the
+    total it was divided by, and the window."""
+    window = _window(f_prev, kernel)
+    moved = _shift(f_prev._crop[window], kernel.stencils[window], False)
     mixed = moved.sum(axis=2) if p_action is None else moved @ p_action
-    out, total = _normalized(mixed, window, kernel.stencils.shape[:2])
+    total = _normalized(mixed, window, buffer)
     if total == 0.0:
         raise DeadFlowError("forward mass vanished (support on obstacles only)")
-    return out, total, window
+    return mixed, total, window
 
 
 def forward_step(
@@ -301,34 +327,39 @@ def forward_step(
         raise ValueError("forward_step expects a forward message")
     if f_prev.is_dead:
         raise DeadFlowError("forward message has no mass")
-    out, _, window = _forward(f_prev, kernel, p_action)
-    return _message(out, FORWARD, window)
+    buffer = np.zeros(kernel.stencils.shape[:3])
+    crop, _, window = _forward(f_prev, kernel, p_action, buffer)
+    return _message(crop, FORWARD, window, f_prev._grid)
 
 
 def backward_step(
     b_next: MessageTensor, kernel: TransitionKernel, p_action: np.ndarray
 ) -> MessageTensor:
     """One backward sum-product step; an all-zero result stays a dead value."""
+    return _backward(b_next, kernel, p_action, np.zeros(kernel.stencils.shape[:3]))
+
+
+def _backward(
+    b_next: MessageTensor,
+    kernel: TransitionKernel,
+    p_action: np.ndarray,
+    buffer: np.ndarray,
+) -> MessageTensor:
+    """``backward_step`` normalized on ``buffer`` (see ``_normalized``)."""
     if b_next.kind != BACKWARD:
         raise ValueError("backward_step expects a backward message")
-    window = _grow(b_next._box, kernel)
-    mixed = b_next.values[window] @ p_action.T
-    moved = _shift(mixed, kernel.stencils[window], True)
-    out, _ = _normalized(moved, window, kernel.stencils.shape[:2])
-    return _message(out, BACKWARD, window)
+    window = _window(b_next, kernel)
+    moved = _shift(b_next._crop[window] @ p_action.T, kernel.stencils[window], True)
+    _normalized(moved, window, buffer)
+    return _message(moved, BACKWARD, window, b_next._grid)
 
 
 def backward_terminal(
     goal: np.ndarray, kernel: TransitionKernel
 ) -> MessageTensor:
     """Backward message one step before the horizon, gathered from the goal."""
-    goal = _checked_goal(goal, kernel)
-    window = _grow(_box_of(goal > 0.0), kernel)
-    moved = _shift(goal[window][:, :, None], kernel.stencils[window], True)
-    out, total = _normalized(moved, window, goal.shape)
-    if total == 0.0:
-        raise InvalidGoalError("goal mass sits entirely on obstacle cells")
-    return _message(out, BACKWARD, window)
+    buffer = np.zeros(kernel.stencils.shape[:3])
+    return _backward_flow(kernel, None, goal, 2, buffer)[0]
 
 
 def forward_final(
@@ -337,21 +368,29 @@ def forward_final(
     """Final forward cell marginal: last transition summed over actions."""
     if f_prev.is_dead:
         raise DeadFlowError("forward message has no mass")
-    return _forward(f_prev, kernel, None)[0]
+    plane = np.zeros(kernel.stencils.shape[:2])
+    crop, _, window = _forward(f_prev, kernel, None, plane)
+    return _Crop(window, crop, 0.0)[f_prev._grid]
 
 
 def posterior(f: MessageTensor, b: MessageTensor) -> MessageTensor:
     """Normalized pointwise product; dead (all-zero) if supports are disjoint.
 
-    The product runs on the intersection of the two boxes only, the
+    The product runs on the intersection of the two crops' boxes only, the
     result's box: outside it one factor is zero.
     """
-    if f.values.shape != b.values.shape:
+    if f._grid != b._grid:
         raise ValueError("forward/backward shapes differ")
-    whole = tuple(slice(0, k) for k in f.values.shape[:2])
-    box = _intersect(f._box or whole, b._box or whole)
-    out, _ = _normalized(f.values[box] * b.values[box], box, f.values.shape[:2])
-    return _message(out, POSTERIOR, box)
+    rows, cols = f._grid
+    return _posterior(f, b, np.zeros((rows.stop, cols.stop, N_ACTIONS)))
+
+
+def _posterior(f: MessageTensor, b: MessageTensor, buffer: np.ndarray) -> MessageTensor:
+    """``posterior`` normalized on ``buffer`` (see ``_normalized``)."""
+    box = _intersect(f._crop.box, b._crop.box)
+    crop = f._crop[box] * b._crop[box]
+    _normalized(crop, box, buffer)
+    return _message(crop, POSTERIOR, box, f._grid)
 
 
 def uniform_actions() -> np.ndarray:
@@ -410,10 +449,8 @@ def initial_forward(
 ) -> MessageTensor:
     """Start instantiation: a cell delta times an initial action distribution."""
     pi = _checked_start(start_cell, start_actions, kernel)
-    grid = kernel.grid
-    values = np.zeros((grid.rows, grid.cols, N_ACTIONS))
-    values[start_cell[0], start_cell[1], :] = pi
-    return _message(values, FORWARD, _around(start_cell, 0, kernel))
+    box, grid = _around(start_cell, 0, kernel), _grow(None, kernel)
+    return _message(pi.reshape(1, 1, N_ACTIONS), FORWARD, box, grid)
 
 
 def backward_flow(
@@ -425,9 +462,26 @@ def backward_flow(
     """Backward messages for t = 1 .. horizon-1, latest time last."""
     if horizon < 2:
         raise ValueError("horizon must be at least 2")
-    chain = [backward_terminal(goal, kernel)]
+    buffer = np.zeros(kernel.stencils.shape[:3])
+    return _backward_flow(kernel, p_action, goal, horizon, buffer)
+
+
+def _backward_flow(
+    kernel: TransitionKernel,
+    p_action: np.ndarray | None,
+    goal: np.ndarray,
+    horizon: int,
+    buffer: np.ndarray,
+) -> list[MessageTensor]:
+    """``backward_flow`` normalized on ``buffer``; horizon 2 reads no ``p_action``."""
+    goal = _checked_goal(goal, kernel)
+    window = _grow(_box_of(goal > 0.0), kernel)
+    moved = _shift(goal[window][:, :, None], kernel.stencils[window], True)
+    if _normalized(moved, window, buffer) == 0.0:
+        raise InvalidGoalError("goal mass sits entirely on obstacle cells")
+    chain = [_message(moved, BACKWARD, window, _grow(None, kernel))]
     for _ in range(horizon - 2):
-        chain.append(backward_step(chain[-1], kernel, p_action))
+        chain.append(_backward(chain[-1], kernel, p_action, buffer))
     return chain[::-1]
 
 
@@ -450,30 +504,32 @@ def run_flows(
     if horizon < 2:
         raise ValueError("horizon must be at least 2")
     goal = _checked_goal(goal, kernel)
+    grid = _grow(None, kernel)
+    buffer, plane = (np.zeros(kernel.stencils.shape[:k]) for k in (3, 2))
 
     forward = [initial_forward(kernel, start_cell, start_actions)]
     norms: list[float] = []
     for _ in range(2, horizon):
-        values, total, window = _forward(forward[-1], kernel, p_action)
+        crop, total, window = _forward(forward[-1], kernel, p_action, buffer)
         norms.append(total)
-        forward.append(_message(values, FORWARD, window))
-    forward_fin, total, window = _forward(forward[-1], kernel, None)
+        forward.append(_message(crop, FORWARD, window, grid))
+    forward_fin, total, window = _forward(forward[-1], kernel, None, plane)
     norms.append(total)
+    post_fin = forward_fin * goal[window]
+    _normalized(post_fin, window, plane)
 
-    backward = backward_flow(kernel, p_action, goal, horizon)
-
-    posteriors = [posterior(f, b) for f, b in zip(forward, backward)]
-    post_fin, _ = _normalized(forward_fin[window] * goal[window], window, goal.shape)
+    backward = _backward_flow(kernel, p_action, goal, horizon, buffer)
+    posteriors = [_posterior(f, b, buffer) for f, b in zip(forward, backward)]
 
     return FlowSet(
         horizon=horizon,
         forward=tuple(forward),
-        forward_final=forward_fin,
+        forward_final=_Crop(window, forward_fin, 0.0)[grid],
         forward_norms=tuple(norms),
         backward=tuple(backward),
         backward_final=goal,
         posterior=tuple(posteriors),
-        posterior_final=post_fin,
+        posterior_final=_Crop(window, post_fin, 0.0)[grid],
     )
 
 
@@ -620,12 +676,14 @@ class _Crop:
         """The slice on ``cells``, a box with explicit bounds; a view of
         the stored values where ``cells`` lies inside ``box``."""
         box = self.box
+        if cells == box:
+            return self.values
         both = _intersect(cells, box)
         inner = self.values if both == box else self.values[_relative(both, box)]
         if both == cells:
             return inner
         rows, cols = cells
-        shape = (rows.stop - rows.start, cols.stop - cols.start, self.values.shape[2])
+        shape = (rows.stop - rows.start, cols.stop - cols.start, *self.values.shape[2:])
         out = np.empty(shape, self.values.dtype)
         out.fill(self.zero)
         out[_relative(both, cells)] = inner

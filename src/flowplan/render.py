@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .engine import MessageTensor
-from .grid import GridMap
+from .engine import Box, MessageTensor
+from .grid import N_ACTIONS, GridMap
 
 #: argmax glyph per action index (0 = still, then the 8 directions)
 GLYPHS = ("·", "^", "u", ">", "n", "v", "b", "<", "p")
@@ -34,26 +34,30 @@ def render_frame(
     tensor: MessageTensor, grid: GridMap, format: str = "ascii"
 ) -> bytes:
     """Render one message tensor as UTF-8 ASCII art or a P6 pixmap."""
-    values = tensor.values
-    if values.shape[:2] != grid.mask.shape:
-        raise ValueError(f"tensor {values.shape} does not fit map {grid.mask.shape}")
+    crop, (rows, cols) = tensor._crop, tensor._grid
+    shape = (rows.stop, cols.stop, N_ACTIONS)
+    if shape[:2] != grid.mask.shape:
+        raise ValueError(f"tensor {shape} does not fit map {grid.mask.shape}")
     if format == "ascii":
-        return _render_ascii(values, grid)
+        return _render_ascii(crop.values, grid, crop.box)
     if format == "pixmap":
-        return _render_pixmap(values.sum(axis=2), grid)
+        return _render_pixmap(tensor.state_marginal(), grid)
     raise ValueError(f"unknown format {format!r}")
 
 
-def _render_ascii(values: np.ndarray, grid: GridMap) -> bytes:
+def _render_ascii(values: np.ndarray, grid: GridMap, box: Box = np.s_[:, :]) -> bytes:
+    """The frame of ``values``, a message's values on ``box``, zero elsewhere."""
     # contiguous, so that each cell's total sums its nine entries in the
     # order a sum over that cell alone would
     values = np.ascontiguousarray(values)
     totals = values.sum(axis=2)
     with np.errstate(divide="ignore", invalid="ignore"):
         p = values / totals[:, :, None]
-    chars = _GLYPH_TABLE[p.argmax(axis=2)]
-    chars[p.max(axis=2) - p.min(axis=2) <= _UNIFORM_TOL] = "+"
-    chars[totals == 0.0] = " "
+    glyphs = _GLYPH_TABLE[p.argmax(axis=2)]
+    glyphs[p.max(axis=2) - p.min(axis=2) <= _UNIFORM_TOL] = "+"
+    glyphs[totals == 0.0] = " "
+    chars = np.full(grid.mask.shape, " ")
+    chars[box] = glyphs
     chars[grid.mask == 1] = "#"
     return ("\n".join(map("".join, chars.tolist())) + "\n").encode("utf-8")
 

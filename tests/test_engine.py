@@ -28,7 +28,7 @@ from flowplan import (
     posterior,
     run_flows,
 )
-from flowplan import engine
+from flowplan import engine, scenarios
 from flowplan.engine import (
     BACKWARD,
     FORWARD,
@@ -42,6 +42,8 @@ from flowplan.engine import (
 )
 from flowplan.grid import ACTION_BY_NAME, ACTIONS, N_ACTIONS
 from flowplan.oracle import bfs_distance, dense_chain, dense_messages
+from flowplan.planner import build_setup
+from flowplan.scenario_io import parse_scenario
 
 from conftest import feasible_instance, free_cells, random_map
 
@@ -130,10 +132,17 @@ def test_messages_copy_a_writable_input_and_keep_a_frozen_one():
     frozen = np.zeros((2, 2, N_ACTIONS))
     frozen.flags.writeable = False
     assert MessageTensor(frozen, FORWARD).values is frozen
-    # the engine freezes what it builds, so its messages hold those arrays
-    built = np.zeros((2, 2, N_ACTIONS))
-    box = (slice(0, 2), slice(0, 2))
-    assert engine._message(built, FORWARD, box).values is built
+    # the engine freezes the crops it builds and keeps them uncopied; values
+    # places the crop on a new read-only whole-grid array at each read
+    built = np.arange(2.0 * N_ACTIONS).reshape(1, 2, N_ACTIONS)
+    box, grid = (slice(1, 2), slice(0, 2)), (slice(0, 2), slice(0, 2))
+    message = engine._message(built, FORWARD, box, grid)
+    assert message._crop.values is built and not built.flags.writeable
+    values = message.values
+    assert values.shape == (2, 2, N_ACTIONS) and not values.flags.writeable
+    assert not _outside(values, message._box).any()
+    assert values[box].tobytes() == built.tobytes()
+    assert message.values is not values
 
 
 def test_a_read_only_view_of_a_writable_array_is_copied():
@@ -554,6 +563,43 @@ def test_caller_built_messages_run_on_the_whole_grid(empty5, monkeypatch):
     assert out.values.tobytes() == forward_step(
         initial_forward(kernel, (2, 2), np.eye(N_ACTIONS)[0]), kernel, p
     ).values.tobytes()
+
+
+def test_flow_messages_keep_only_the_crop_on_their_box():
+    # a walled map on which the forward and backward cones stay inside the
+    # grid for most slices, and posteriors on their intersection
+    sc = parse_scenario(scenarios.load("maze15"))
+    setup = build_setup(sc)
+    kernel = setup.kernel
+    flows = run_flows(kernel, setup.p_action, sc.start_cell, setup.goal, 30)
+    messages = (*flows.forward, *flows.backward, *flows.posterior)
+    whole = engine._area(_grow(None, kernel))
+    assert sum(engine._area(m._box) < whole for m in messages) > len(messages) // 2
+    for message in messages:
+        crop = message._crop
+        placed = np.zeros((sc.grid.rows, sc.grid.cols, N_ACTIONS))
+        placed[message._box] = crop.values
+        assert crop.box == message._box
+        assert message.values.tobytes() == placed.tobytes()
+        # the crop owns its bytes, or views an array of no more: no message
+        # holds on to a whole-grid array
+        root = crop.values
+        while root.base is not None:
+            root = root.base
+        assert root.nbytes == engine._area(message._box) * N_ACTIONS * 8
+
+
+def test_steps_refuse_a_message_of_another_grid(empty5):
+    grid, kernel, p = empty5
+    for rows, cols in ((4, 5), (5, 6), (6, 6)):
+        other = build_kernel(GridMap.empty(rows, cols))
+        f = initial_forward(other, (0, 0))
+        b = backward_terminal(goal_marginal([(0, 0)], other.grid), other)
+        for step in (lambda: forward_step(f, kernel, p),
+                     lambda: forward_final(f, kernel),
+                     lambda: backward_step(b, kernel, p)):
+            with pytest.raises(ValueError, match="shape does not match the grid"):
+                step()
 
 
 def test_backward_terminal_is_linear_in_the_goal(empty5):
