@@ -37,6 +37,13 @@ divides each step's crop by the whole message's sum, summed in a
 whole-grid step's order (so every message and norm is bit-identical) on a
 whole-grid zero buffer that one ``run_flows`` or ``backward_flow`` reuses.
 
+The forward and backward recursions are independent until the posterior
+product.  On a grid of at least ``_THREADED_CELLS`` cells ``run_flows``
+runs the backward one on a second thread, with a buffer of its own, and
+joins it before the posteriors (``_beside``).  numpy releases the
+interpreter lock inside each pass, so the two overlap on two cores; each
+step is the serial one, so every array is bit-identical.
+
 Both ends are used where only reachability or one path matters.
 ``min_time`` grows boolean support from the start and from the goal,
 always on the side with the smaller window, and stops where the two
@@ -50,10 +57,11 @@ two cones.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import count, islice
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 import numpy as np
 
@@ -74,6 +82,9 @@ _Mix = Callable[[np.ndarray], np.ndarray]  # a per-cell mix over actions
 _SUM: _Semiring = (0.0, np.add, np.multiply)
 _MAX: _Semiring = (-np.inf, np.maximum, np.add)  # max-product on logs
 _LSE: _Semiring = (-np.inf, np.logaddexp, np.add)  # sum-product on logs
+
+_T = TypeVar("_T")
+_U = TypeVar("_U")
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -325,6 +336,7 @@ def forward_step(
     """One forward sum-product step; output renormalized to total mass 1."""
     if f_prev.kind != FORWARD:
         raise ValueError("forward_step expects a forward message")
+    p_action = _checked_actions(p_action)
     if f_prev.is_dead:
         raise DeadFlowError("forward message has no mass")
     buffer = np.zeros(kernel.stencils.shape[:3])
@@ -336,6 +348,7 @@ def backward_step(
     b_next: MessageTensor, kernel: TransitionKernel, p_action: np.ndarray
 ) -> MessageTensor:
     """One backward sum-product step; an all-zero result stays a dead value."""
+    p_action = _checked_actions(p_action)
     return _backward(b_next, kernel, p_action, np.zeros(kernel.stencils.shape[:3]))
 
 
@@ -442,6 +455,17 @@ def _checked_start(
     return pi / total
 
 
+def _checked_actions(p_action: np.ndarray) -> np.ndarray:
+    """``p_action`` as floats, refused unless a finite, nonnegative 9 x 9
+    matrix.  All zeros is legal: a flow on it dies, which its steps report."""
+    p = np.asarray(p_action, dtype=float)
+    if p.shape != (N_ACTIONS, N_ACTIONS):
+        raise ValueError(f"p_action must be a 9 x 9 matrix, got shape {p.shape}")
+    if not 0.0 <= p.min() <= p.max() < np.inf:  # a nan propagates to both
+        raise ValueError("p_action entries must be finite and nonnegative")
+    return p
+
+
 def initial_forward(
     kernel: TransitionKernel,
     start_cell: Cell,
@@ -462,6 +486,7 @@ def backward_flow(
     """Backward messages for t = 1 .. horizon-1, latest time last."""
     if horizon < 2:
         raise ValueError("horizon must be at least 2")
+    p_action = _checked_actions(p_action)
     buffer = np.zeros(kernel.stencils.shape[:3])
     return _backward_flow(kernel, p_action, goal, horizon, buffer)
 
@@ -485,6 +510,12 @@ def _backward_flow(
     return chain[::-1]
 
 
+#: grids of at least this many cells run the backward flow of ``run_flows``
+#: on a second thread; below it the thread's start and the interpreter
+#: lock's handoffs cost more than the overlap saves
+_THREADED_CELLS = 4096
+
+
 def run_flows(
     kernel: TransitionKernel,
     p_action: np.ndarray,
@@ -500,37 +531,76 @@ def run_flows(
     the final slice.  Posteriors with disjoint forward/backward support
     come back dead rather than raising, so infeasible horizons can be
     inspected.
+
+    The two recursions are independent until the posterior product.  On a
+    grid of at least ``_THREADED_CELLS`` cells the backward one runs on a
+    thread of its own, with its own buffer, beside the forward one (numpy
+    releases the interpreter lock inside each pass); every step's
+    arithmetic is the serial run's, so every array is bit-identical, and
+    errors are raised in the serial order, the forward's first.
     """
     if horizon < 2:
         raise ValueError("horizon must be at least 2")
+    p_action = _checked_actions(p_action)
     goal = _checked_goal(goal, kernel)
     grid = _grow(None, kernel)
     buffer, plane = (np.zeros(kernel.stencils.shape[:k]) for k in (3, 2))
 
-    forward = [initial_forward(kernel, start_cell, start_actions)]
-    norms: list[float] = []
-    for _ in range(2, horizon):
-        crop, total, window = _forward(forward[-1], kernel, p_action, buffer)
+    def forward_half():
+        forward = [initial_forward(kernel, start_cell, start_actions)]
+        norms: list[float] = []
+        for _ in range(2, horizon):
+            crop, total, window = _forward(forward[-1], kernel, p_action, buffer)
+            norms.append(total)
+            forward.append(_message(crop, FORWARD, window, grid))
+        final, total, window = _forward(forward[-1], kernel, None, plane)
         norms.append(total)
-        forward.append(_message(crop, FORWARD, window, grid))
-    forward_fin, total, window = _forward(forward[-1], kernel, None, plane)
-    norms.append(total)
-    post_fin = forward_fin * goal[window]
-    _normalized(post_fin, window, plane)
+        return forward, norms, _Crop(window, final, 0.0)
 
-    backward = _backward_flow(kernel, p_action, goal, horizon, buffer)
+    backward_half = partial(_backward_flow, kernel, p_action, goal, horizon)
+    if kernel.grid.rows * kernel.grid.cols < _THREADED_CELLS:
+        (forward, norms, final), backward = forward_half(), backward_half(buffer)
+    else:
+        (forward, norms, final), backward = _beside(
+            forward_half, partial(backward_half, np.zeros(buffer.shape))
+        )
+    post_fin = final.values * goal[final.box]
+    _normalized(post_fin, final.box, plane)
     posteriors = [_posterior(f, b, buffer) for f, b in zip(forward, backward)]
 
     return FlowSet(
         horizon=horizon,
         forward=tuple(forward),
-        forward_final=_Crop(window, forward_fin, 0.0)[grid],
+        forward_final=final[grid],
         forward_norms=tuple(norms),
         backward=tuple(backward),
         backward_final=goal,
         posterior=tuple(posteriors),
-        posterior_final=_Crop(window, post_fin, 0.0)[grid],
+        posterior_final=_Crop(final.box, post_fin, 0.0)[grid],
     )
+
+
+def _beside(first: Callable[[], _T], second: Callable[[], _U]) -> tuple[_T, _U]:
+    """``first()`` on the calling thread and ``second()`` on a new thread,
+    joined before this returns or raises.  Errors come in the serial order:
+    ``first``'s, else ``second``'s."""
+    outcome: list = []
+
+    def run() -> None:
+        try:
+            outcome.append(second())
+        except BaseException as error:  # raised on the calling thread below
+            outcome.append(error)
+
+    worker = threading.Thread(target=run, name="flowplan-backward")
+    worker.start()
+    try:
+        value = first()
+    finally:
+        worker.join()
+    if isinstance(outcome[0], BaseException):
+        raise outcome[0]
+    return value, outcome[0]
 
 
 def _max_chain(
@@ -589,12 +659,13 @@ def min_time(
     B_j where it meets M_j.  The (cell, action) ``support`` is not built.
     ``_until_start`` keeps B's stopping rules (see there).
     """
+    p_action = _checked_actions(p_action)
     goal = _checked_start_goal(kernel, start_cell, goal, t_max)
     if goal[start_cell] > 0.0:
         return 1
     box = _box_of(goal > 0.0)
     seed = _Crop(box, (goal[box] > 0.0)[:, :, None], False)
-    if start_action is None and (np.asarray(p_action) > 0.0).all():
+    if start_action is None and (p_action > 0.0).all():
         # the mix would reach every action of a cell: sweep the cells
         stencils, mixes, cells = kernel.cell_support, (_unmixed,) * 2, seed
     else:

@@ -335,18 +335,22 @@ def test_criterion_8_performance_and_memory():
         p = action_matrix(0.0)
         goal = goal_marginal([(99, 99)], grid)
         tracemalloc.start()
-        start_time = time.perf_counter()
+        start_time, start_cpu = time.perf_counter(), time.process_time()
         flows = run_flows(kernel, p, (0, 0), goal, 100)
         elapsed = time.perf_counter() - start_time
+        # run_flows runs its backward flow on a second thread on a grid
+        # this large, so the single-threaded budget is checked as CPU time
+        cpu = time.process_time() - start_cpu
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         budget = 1.5 * 3 * 100 * 100 * 9 * 100 * 8  # bytes for float64 tensors
         print(
-            f"  {elapsed:.2f}s, peak {peak / 1e6:.0f} MB vs budget "
-            f"{budget / 1e6:.0f} MB"
+            f"  {elapsed:.2f}s wall, {cpu:.2f}s CPU, peak {peak / 1e6:.0f} MB "
+            f"vs budget {budget / 1e6:.0f} MB"
         )
         assert flows.horizon == 100
         assert elapsed < 10.0
+        assert cpu < 10.0
         assert peak <= budget
 
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import re
+import sys
+import threading
 from itertools import islice
 
 import numpy as np
@@ -667,6 +669,42 @@ def test_non_finite_start_actions_are_refused(empty5):
             run_flows(kernel, p, (0, 0), goal, 6, start_actions=pi)
 
 
+def _p_with(entry: float) -> np.ndarray:
+    p = action_matrix(0.5).copy()
+    p[2, 3] = entry
+    return p
+
+
+@pytest.mark.parametrize(
+    "bad, match",
+    [
+        (np.full((N_ACTIONS, N_ACTIONS), np.nan), "finite and nonnegative"),
+        (np.full((N_ACTIONS, N_ACTIONS), np.inf), "finite and nonnegative"),
+        (_p_with(np.nan), "finite and nonnegative"),
+        (_p_with(-0.1), "finite and nonnegative"),
+        (np.full((3, 3), 1 / 3), r"9 x 9 matrix, got shape \(3, 3\)"),
+        (np.full(N_ACTIONS, 1 / 9), r"9 x 9 matrix, got shape \(9,\)"),
+    ],
+    ids=["nan", "inf", "one-nan", "negative", "3x3", "vector"],
+)
+def test_p_action_must_be_a_finite_nonnegative_nine_by_nine_matrix(empty5, bad, match):
+    # at the parent, nan or inf gave non-finite posteriors, min_time raised
+    # UnreachableError on nan and returned 6 on inf, and 3 x 3 failed in matmul
+    grid, kernel, _ = empty5
+    goal = goal_marginal([(4, 4)], grid)
+    f, b = initial_forward(kernel, (0, 0)), backward_terminal(goal, kernel)
+    calls = (
+        lambda: run_flows(kernel, bad, (0, 0), goal, 6),
+        lambda: backward_flow(kernel, bad, goal, 6),
+        lambda: forward_step(f, kernel, bad),
+        lambda: backward_step(b, kernel, bad),
+        lambda: min_time(kernel, bad, (0, 0), goal, 20),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=match):
+            call()
+
+
 def test_backward_terminal_rejects_goal_on_obstacles():
     grid = GridMap.empty(4, 4).with_obstacles([(1, 1)])
     kernel = build_kernel(grid)
@@ -799,17 +837,32 @@ def _whole_grid_flows(kernel, p, start, goal, horizon, start_actions):
     return forward, fin, norms, backward, goal, posteriors
 
 
+def _flow_arrays(flows) -> list[np.ndarray]:
+    """Every array of a ``FlowSet``: the messages, then the final slices."""
+    got = [m.values for m in (*flows.forward, *flows.backward, *flows.posterior)]
+    return got + [flows.forward_final, flows.backward_final, flows.posterior_final]
+
+
+def _flow_bytes(flows) -> list[bytes]:
+    arrays = [*_flow_arrays(flows), np.array(flows.forward_norms)]
+    return [str(a.shape).encode() + a.tobytes() for a in arrays]
+
+
 @pytest.mark.parametrize("pinned", [None, 0, ACTION_BY_NAME["right"].index])
 @pytest.mark.parametrize("stiffness", [0.0, 0.5, 1.0])
 def test_run_flows_is_bit_identical_to_the_whole_grid_recursion(rng, stiffness, pinned):
     # the steps run on crops of the support window and sum the whole grid
     # in the whole-grid order, so every byte matches, including the norms;
     # a window is one column wide only on a one-column grid, where BLAS
-    # takes another path for the action mix
+    # takes another path for the action mix.  The 70 x 70 map is above
+    # engine._THREADED_CELLS, so its backward flow runs on a second thread
     p = action_matrix(stiffness)
     start_actions = None if pinned is None else np.eye(N_ACTIONS)[pinned]
-    for rows, cols, extra in ((9, 13, 2), (6, 7, 12), (1, 15, 3), (12, 1, 4)):
-        grid, start, goal_cell, d = feasible_instance(rng, rows, cols, 0.2)
+    maps = ((9, 13, 2, 0.2), (6, 7, 12, 0.2), (1, 15, 3, 0.2), (12, 1, 4, 0.2),
+            (70, 70, 3, 0.1))
+    assert 70 * 70 >= engine._THREADED_CELLS
+    for rows, cols, extra, density in maps:
+        grid, start, goal_cell, d = feasible_instance(rng, rows, cols, density)
         kernel = build_kernel(grid)
         goal = goal_marginal([goal_cell], grid)
         horizon = d + extra
@@ -817,13 +870,94 @@ def test_run_flows_is_bit_identical_to_the_whole_grid_recursion(rng, stiffness, 
         forward, fin, norms, backward, goal, posteriors = _whole_grid_flows(
             kernel, p, start, goal, horizon, start_actions
         )
-        got = [m.values for m in (*flows.forward, *flows.backward, *flows.posterior)]
-        got += [flows.forward_final, flows.backward_final, flows.posterior_final]
+        got = _flow_arrays(flows)
         want = [*forward, *backward, *posteriors[:-1], fin, goal, posteriors[-1]]
         assert len(got) == len(want)
         for a, b in zip(got, want):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
         assert np.array(flows.forward_norms).tobytes() == np.array(norms).tobytes()
+
+
+@pytest.fixture
+def above_the_gate(rng):
+    """A 70 x 70 map with 10% obstacles, above ``engine._THREADED_CELLS``,
+    its kernel, a start and goal and a horizon three slices past the minimum."""
+    grid, start, goal_cell, d = feasible_instance(rng, 70, 70, 0.1)
+    assert grid.rows * grid.cols >= engine._THREADED_CELLS
+    return build_kernel(grid), start, goal_marginal([goal_cell], grid), d + 4
+
+
+def test_run_flows_runs_the_backward_flow_beside_the_forward_above_the_gate(
+    above_the_gate, empty5, monkeypatch
+):
+    threads = []
+    backward_flow = engine._backward_flow
+
+    def recorded(*args):
+        threads.append(threading.current_thread())
+        return backward_flow(*args)
+
+    monkeypatch.setattr(engine, "_backward_flow", recorded)
+    kernel, start, goal, horizon = above_the_gate
+    before = threading.active_count()
+    run_flows(kernel, action_matrix(0.5), start, goal, horizon)
+    assert threading.active_count() == before
+    grid, small, p = empty5
+    run_flows(small, p, (0, 0), goal_marginal([(4, 4)], grid), 6)
+    caller = threading.current_thread()
+    assert threads[0] is not caller and threads[1] is caller
+
+
+def test_threaded_run_flows_raises_in_the_serial_order_and_joins(
+    above_the_gate, monkeypatch
+):
+    kernel, start, goal, horizon = above_the_gate
+    p, zeros = action_matrix(0.5), np.zeros((N_ACTIONS, N_ACTIONS))
+    before = threading.active_count()
+    # all zeros: the forward mass vanishes while the backward flow runs
+    with monkeypatch.context() as serial:
+        serial.setattr(engine, "_THREADED_CELLS", 10**9)
+        with pytest.raises(DeadFlowError) as want:
+            run_flows(kernel, zeros, start, goal, horizon)
+    with pytest.raises(DeadFlowError) as got:
+        run_flows(kernel, zeros, start, goal, horizon)
+    assert str(got.value) == str(want.value)
+    assert threading.active_count() == before
+
+    def failing(*args):
+        raise RuntimeError("backward failed")
+
+    monkeypatch.setattr(engine, "_backward_flow", failing)
+    with pytest.raises(RuntimeError, match="backward failed"):
+        run_flows(kernel, p, start, goal, horizon)
+    with pytest.raises(DeadFlowError):  # the forward's error comes first
+        run_flows(kernel, zeros, start, goal, horizon)
+    assert threading.active_count() == before
+
+
+def test_threaded_run_flows_from_several_caller_threads_agree(above_the_gate):
+    # three callers at once, each starting its own backward thread
+    kernel, start, goal, horizon = above_the_gate
+    p = action_matrix(0.5)
+    want = _flow_bytes(run_flows(kernel, p, start, goal, horizon))
+    results = {}
+
+    def call(k):
+        results[k] = _flow_bytes(run_flows(kernel, p, start, goal, horizon))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        callers = [threading.Thread(target=call, args=(k,)) for k in range(3)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=120)
+            assert not caller.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(results) == [0, 1, 2]
+    assert all(got == want for got in results.values())
 
 
 def test_min_time_start_on_goal_is_one():
