@@ -19,23 +19,24 @@ the sense of Aji and McEliece's generalized distributive law: (0, +, x)
 for the sum-product messages, the same on bools (OR, AND) for the support
 ``min_time`` propagates (of cells, or of (cell, action) pairs), and
 (-inf, max, +) and (-inf, log-sum-exp, +) on logs for the max-product
-chain and for a sum-product one that cannot underflow.  Every sweep
-spreads the stencil per slice from a seed: the start cell for the forward
-flow, the bounding box of the goal's support for the backward ones.
-Each pass, and the action mix after it, runs on crops to its input's box
-grown by one cell and clipped to the grid (the support window).  Cells
-outside it would only receive the semiring's zero, so every pass is
-bit-identical to a whole-grid one, and so is the mix: BLAS rounds a
-matmul's rows alike at every width but one column, and a window is one
-column wide only on a grid that is.
+chain and for a sum-product one that cannot underflow.  Every flow is one
+recursion, ``_sweep``, that spreads the stencil per slice from a seed:
+the start cell for the forward flow, the bounding box of the goal's
+support for the backward ones.  Each pass, and the action mix after it,
+runs on crops to its input's box grown by one cell and clipped to the
+grid (the support window).  Cells outside it would only receive the
+semiring's zero, so every pass is bit-identical to a whole-grid one, and
+so is the mix: BLAS rounds a matmul's rows alike at every width but one
+column, and a window is one column wide only on a grid that is.
 
 Every slice is a crop on its box (``_Crop``), the semiring's zero
-elsewhere: the boolean sweeps and the decoders' chains from one generator
-(``_sweep``), and the public sum-product messages, whose ``values`` places
-the crop on the whole grid at each read.  One helper (``_normalized``)
-divides each step's crop by the whole message's sum, summed in a
-whole-grid step's order (so every message and norm is bit-identical) on a
-whole-grid zero buffer that one ``run_flows`` or ``backward_flow`` reuses.
+elsewhere: the boolean sweeps, the decoders' chains and the public
+sum-product messages, whose ``values`` places the crop on the whole grid
+at each read.  The sum-product flows run ``_sweep`` through ``_flow``,
+which divides each crop in place by the whole message's sum
+(``_normalized``, summed in a whole-grid step's order on a zero buffer
+that one ``run_flows`` or ``backward_flow`` reuses, so every message and
+norm is bit-identical); each public step is one ``_flow`` pass.
 
 The forward and backward recursions are independent until the posterior
 product.  On a grid of at least ``_THREADED_CELLS`` cells ``run_flows``
@@ -90,11 +91,10 @@ _U = TypeVar("_U")
 @dataclass(frozen=True, eq=False, init=False)
 class MessageTensor:
     """A single forward, backward, or posterior message at one time step,
-    kept as a crop on the box of its nonzero cells, zero elsewhere (``_box``;
-    None, the whole grid, for one a caller built)."""
+    kept as a crop on the box of its nonzero cells, zero elsewhere (the
+    whole grid for one a caller built)."""
 
     kind: str
-    _box: Box | None = field(repr=False)
     _crop: _Crop = field(repr=False)
     _grid: Box = field(repr=False)  # the whole grid
 
@@ -111,7 +111,7 @@ class MessageTensor:
         values.flags.writeable = False
         grid = (slice(0, values.shape[0]), slice(0, values.shape[1]))
         crop = _Crop(grid, values, 0.0)
-        vars(self).update(kind=kind, _box=None, _crop=crop, _grid=grid)
+        vars(self).update(kind=kind, _crop=crop, _grid=grid)
 
     @property
     def values(self) -> np.ndarray:
@@ -217,7 +217,7 @@ def _message(crop: np.ndarray, kind: str, box: Box, grid: Box) -> MessageTensor:
     uncopied, as a message supported in ``box``."""
     crop.flags.writeable = False
     message = object.__new__(MessageTensor)
-    vars(message).update(kind=kind, _box=box, _crop=_Crop(box, crop, 0.0), _grid=grid)
+    vars(message).update(kind=kind, _crop=_Crop(box, crop, 0.0), _grid=grid)
     return message
 
 
@@ -296,38 +296,37 @@ def _lse_mixer(p_action: np.ndarray) -> _Mix:
 
 
 def _sum_mixer(p_action: np.ndarray) -> _Mix:
-    """The sum-product backward action mix on a crop divided by its total
-    (when positive), so that every slice is normalized over its crop."""
+    """The sum-product backward action mix on a slice divided by its total
+    on the next pass's window (when positive), so that every pass's input
+    is normalized over its window."""
     p_t = p_action.T
     return lambda v: (v / total if (total := v.sum()) > 0.0 else v) @ p_t
 
 
-def _window(message: MessageTensor, kernel: TransitionKernel) -> Box:
-    """The support window of a pass of ``kernel`` on ``message``."""
+def _seed(message: MessageTensor, kernel: TransitionKernel) -> _Crop:
+    """``message``'s crop, to seed a pass of ``kernel`` on the same grid."""
     rows, cols = message._grid
     if (rows.stop, cols.stop) != kernel.stencils.shape[:2]:
         raise ValueError(f"{message.kind} message shape does not match the grid")
-    return _grow(message._box, kernel)
+    return message._crop
 
 
-def _forward(
-    f_prev: MessageTensor,
-    kernel: TransitionKernel,
-    p_action: np.ndarray | None,
-    buffer: np.ndarray,
-) -> tuple[np.ndarray, float, Box]:
-    """One forward move: the scatter of ``f_prev`` on its support window,
-    mixed over the previous action axis by ``p_action`` or, given None,
-    summed over actions for the final cell marginal.  Returns the crop on
-    the window normalized to mass 1 (``_normalized`` on ``buffer``), the
-    total it was divided by, and the window."""
-    window = _window(f_prev, kernel)
-    moved = _shift(f_prev._crop[window], kernel.stencils[window], False)
-    mixed = moved.sum(axis=2) if p_action is None else moved @ p_action
-    total = _normalized(mixed, window, buffer)
-    if total == 0.0:
-        raise DeadFlowError("forward mass vanished (support on obstacles only)")
-    return mixed, total, window
+def _flow(
+    kernel: TransitionKernel, seed: _Crop, gather: bool, mix: _Mix, buffer: np.ndarray
+) -> Iterator[tuple[_Crop, float]]:
+    """The sum-product ``_sweep`` on ``kernel.stencils`` from ``seed``, each
+    crop with the total it is divided by in place (``_normalized`` on
+    ``buffer``) before the sweep resumes.  A forward flow (the scatter)
+    whose mass vanishes raises DeadFlowError; a backward one goes on dead."""
+    for crop in _sweep(kernel, seed, kernel.stencils, gather, _SUM, mix):
+        total = _normalized(crop.values, crop.box, buffer)
+        if total == 0.0 and not gather:
+            raise DeadFlowError("forward mass vanished (support on obstacles only)")
+        yield crop, total
+
+
+def _cells(values: np.ndarray) -> np.ndarray:  # the final slice's mix
+    return values.sum(axis=2)
 
 
 def forward_step(
@@ -340,8 +339,9 @@ def forward_step(
     if f_prev.is_dead:
         raise DeadFlowError("forward message has no mass")
     buffer = np.zeros(kernel.stencils.shape[:3])
-    crop, _, window = _forward(f_prev, kernel, p_action, buffer)
-    return _message(crop, FORWARD, window, f_prev._grid)
+    flow = _flow(kernel, _seed(f_prev, kernel), False, lambda v: v @ p_action, buffer)
+    crop, _ = next(flow)
+    return _message(crop.values, FORWARD, crop.box, f_prev._grid)
 
 
 def backward_step(
@@ -349,41 +349,30 @@ def backward_step(
 ) -> MessageTensor:
     """One backward sum-product step; an all-zero result stays a dead value."""
     p_action = _checked_actions(p_action)
-    return _backward(b_next, kernel, p_action, np.zeros(kernel.stencils.shape[:3]))
-
-
-def _backward(
-    b_next: MessageTensor,
-    kernel: TransitionKernel,
-    p_action: np.ndarray,
-    buffer: np.ndarray,
-) -> MessageTensor:
-    """``backward_step`` normalized on ``buffer`` (see ``_normalized``)."""
     if b_next.kind != BACKWARD:
         raise ValueError("backward_step expects a backward message")
-    window = _window(b_next, kernel)
-    moved = _shift(b_next._crop[window] @ p_action.T, kernel.stencils[window], True)
-    _normalized(moved, window, buffer)
-    return _message(moved, BACKWARD, window, b_next._grid)
+    seed = _seed(b_next, kernel)
+    seed = _Crop(seed.box, seed.values @ p_action.T, 0.0)
+    buffer = np.zeros(kernel.stencils.shape[:3])
+    crop, _ = next(_flow(kernel, seed, True, _unmixed, buffer))
+    return _message(crop.values, BACKWARD, crop.box, b_next._grid)
 
 
-def backward_terminal(
-    goal: np.ndarray, kernel: TransitionKernel
-) -> MessageTensor:
+def backward_terminal(goal: np.ndarray, kernel: TransitionKernel) -> MessageTensor:
     """Backward message one step before the horizon, gathered from the goal."""
     buffer = np.zeros(kernel.stencils.shape[:3])
     return _backward_flow(kernel, None, goal, 2, buffer)[0]
 
 
-def forward_final(
-    f_prev: MessageTensor, kernel: TransitionKernel
-) -> np.ndarray:
+def forward_final(f_prev: MessageTensor, kernel: TransitionKernel) -> np.ndarray:
     """Final forward cell marginal: last transition summed over actions."""
+    if f_prev.kind != FORWARD:
+        raise ValueError("forward_final expects a forward message")
     if f_prev.is_dead:
         raise DeadFlowError("forward message has no mass")
     plane = np.zeros(kernel.stencils.shape[:2])
-    crop, _, window = _forward(f_prev, kernel, None, plane)
-    return _Crop(window, crop, 0.0)[f_prev._grid]
+    final, _ = next(_flow(kernel, _seed(f_prev, kernel), False, _cells, plane))
+    return final[f_prev._grid]
 
 
 def posterior(f: MessageTensor, b: MessageTensor) -> MessageTensor:
@@ -392,6 +381,8 @@ def posterior(f: MessageTensor, b: MessageTensor) -> MessageTensor:
     The product runs on the intersection of the two crops' boxes only, the
     result's box: outside it one factor is zero.
     """
+    if (f.kind, b.kind) != (FORWARD, BACKWARD):
+        raise ValueError("posterior expects a forward and a backward message")
     if f._grid != b._grid:
         raise ValueError("forward/backward shapes differ")
     rows, cols = f._grid
@@ -500,14 +491,14 @@ def _backward_flow(
 ) -> list[MessageTensor]:
     """``backward_flow`` normalized on ``buffer``; horizon 2 reads no ``p_action``."""
     goal = _checked_goal(goal, kernel)
-    window = _grow(_box_of(goal > 0.0), kernel)
-    moved = _shift(goal[window][:, :, None], kernel.stencils[window], True)
-    if _normalized(moved, window, buffer) == 0.0:
+    box, grid = _box_of(goal > 0.0), _grow(None, kernel)
+    seed = _Crop(box, goal[box][:, :, None], 0.0)
+    flow = _flow(kernel, seed, True, lambda v: v @ p_action.T, buffer)
+    first, total = next(flow)
+    if total == 0.0:
         raise InvalidGoalError("goal mass sits entirely on obstacle cells")
-    chain = [_message(moved, BACKWARD, window, _grow(None, kernel))]
-    for _ in range(horizon - 2):
-        chain.append(_backward(chain[-1], kernel, p_action, buffer))
-    return chain[::-1]
+    crops = [first, *(crop for crop, _ in islice(flow, horizon - 2))]
+    return [_message(c.values, BACKWARD, c.box, grid) for c in reversed(crops)]
 
 
 #: grids of at least this many cells run the backward flow of ``run_flows``
@@ -530,7 +521,8 @@ def run_flows(
     uniform) initial action distribution, the goal as a cell marginal at
     the final slice.  Posteriors with disjoint forward/backward support
     come back dead rather than raising, so infeasible horizons can be
-    inspected.
+    inspected.  So do slices whose whole-grid normalization underflows: at
+    the minimum horizon on an empty 1 x 700 corridor every slice is dead.
 
     The two recursions are independent until the posterior product.  On a
     grid of at least ``_THREADED_CELLS`` cells the backward one runs on a
@@ -549,13 +541,13 @@ def run_flows(
     def forward_half():
         forward = [initial_forward(kernel, start_cell, start_actions)]
         norms: list[float] = []
-        for _ in range(2, horizon):
-            crop, total, window = _forward(forward[-1], kernel, p_action, buffer)
+        flow = _flow(kernel, forward[0]._crop, False, lambda v: v @ p_action, buffer)
+        for crop, total in islice(flow, horizon - 2):
+            forward.append(_message(crop.values, FORWARD, crop.box, grid))
             norms.append(total)
-            forward.append(_message(crop, FORWARD, window, grid))
-        final, total, window = _forward(forward[-1], kernel, None, plane)
+        final, total = next(_flow(kernel, forward[-1]._crop, False, _cells, plane))
         norms.append(total)
-        return forward, norms, _Crop(window, final, 0.0)
+        return forward, norms, final
 
     backward_half = partial(_backward_flow, kernel, p_action, goal, horizon)
     if kernel.grid.rows * kernel.grid.cols < _THREADED_CELLS:
@@ -791,11 +783,19 @@ def _sweep(
     Pass k runs on the support window of its input (the seed's box or the
     previous window, grown by ``_grow``), intersected with ``clip(k)`` if
     given; its result, mixed over actions by ``mix``, is the next pass's
-    input.  A gather yields the pass before its mix, as a backward message
-    is the gather of the mixed one after it; a scatter yields the mixed
-    input, as a forward message is the move mixed to the next heading.  The
-    pass and the mix are per cell, so without a clip every crop is exact; a
-    clip makes the cells within one step of its edge too low.
+    input.  A scatter yields the mixed result, as a forward message is the
+    move mixed to the next heading; a gather yields the pass before its
+    mix, as a backward message is the gather of the mixed one after it,
+    and mixes it on the next window, after padding or clipping: the padded
+    copy is then freed before the pass allocates its result, which reuses
+    its memory (under glibc, mixing first raised the peak RSS of a 100 x 100
+    backward flow by 23 MB).  The pass and the mix are per cell, so without a clip
+    every crop is exact; a clip makes the cells within one step of its edge
+    too low.
+
+    A caller may change a yielded crop's values in place before it resumes
+    the sweep, as ``_flow`` normalizes them: the next pass, or a gather's
+    mix, reads them as changed.
     """
     zero = semiring[0]
     crop = seed
@@ -803,12 +803,11 @@ def _sweep(
         window = _grow(crop.box, kernel)
         if clip is not None:
             window = _intersect(window, clip(k))
+        if gather and k > 1:
+            crop = _Crop(window, mix(crop[window]), zero)
         out = _shift(crop[window], stencils[window], gather, semiring)
-        if gather:
-            yield _Crop(window, out, zero)
-        crop = _Crop(window, mix(out), zero)
-        if not gather:
-            yield crop
+        crop = _Crop(window, out if gather else mix(out), zero)
+        yield crop
 
 
 def _goal_sweep(
@@ -821,7 +820,7 @@ def _goal_sweep(
     """Backward messages in ``semiring``, the slice before the goal first:
     the ``_sweep`` of the gather from the goal's box, so that without a
     clip the k-th slice is on that box grown k times.  ``_SUM`` normalizes
-    each slice over its crop, not the grid; the others run on logs."""
+    each pass's input over its window, not the grid; the others run on logs."""
     box = _box_of(goal > 0.0)
     if semiring is _SUM:
         seed, stencils, mix = goal[box], kernel.stencils, _sum_mixer(p_action)

@@ -44,7 +44,7 @@ from flowplan.engine import (
 )
 from flowplan.grid import ACTION_BY_NAME, ACTIONS, N_ACTIONS
 from flowplan.oracle import bfs_distance, dense_chain, dense_messages
-from flowplan.planner import build_setup
+from flowplan.planner import build_setup, scenario_flows
 from flowplan.scenario_io import parse_scenario
 
 from conftest import feasible_instance, free_cells, random_map
@@ -142,7 +142,7 @@ def test_messages_copy_a_writable_input_and_keep_a_frozen_one():
     assert message._crop.values is built and not built.flags.writeable
     values = message.values
     assert values.shape == (2, 2, N_ACTIONS) and not values.flags.writeable
-    assert not _outside(values, message._box).any()
+    assert not _outside(values, message._crop.box).any()
     assert values[box].tobytes() == built.tobytes()
     assert message.values is not values
 
@@ -288,14 +288,16 @@ def test_windowed_passes_equal_the_whole_grid_pass(shape, sharpness, seed, data)
     flows = run_flows(kernel, p, start, goal, horizon)
     chain = backward_flow(kernel, p, goal, horizon)
     for message in (*flows.forward, *flows.backward, *chain, *flows.posterior):
-        assert message._box is not None
-        assert not _outside(message.values, message._box).any()
+        rows, cols = message._crop.box
+        assert message._crop.values.shape[:2] == (rows.stop - rows.start,
+                                                  cols.stop - cols.start)
+        assert not _outside(message.values, message._crop.box).any()
     # the posterior on the boxes' intersection equals the whole-grid product
     for f, b, q in zip(flows.forward, flows.backward, flows.posterior):
         whole = posterior(
             MessageTensor(f.values, FORWARD), MessageTensor(b.values, BACKWARD)
         )
-        assert whole._box == _grow(None, kernel)
+        assert whole._crop.box == _grow(None, kernel)
         assert q.values.tobytes() == whole.values.tobytes()
     # slice T-1-k of the max-product chain is the goal box grown k+1 times
     box = engine._box_of(goal > 0.0)
@@ -327,6 +329,24 @@ def test_stencil_passes_run_on_the_support_window(monkeypatch):
     run_flows(kernel, p, (0, 0), goal, 10)
     # nine forward and nine backward passes, each window one cell wider
     assert sorted(shapes) == sorted([(k, k) for k in range(2, 11)] * 2)
+
+
+def test_a_gather_mixes_its_result_on_the_next_pass_window():
+    # padded first, then mixed: the pass's result can then reuse the padded
+    # copy's memory, where mixing first left a hole per pass in the heap
+    grid = GridMap.empty(60, 60)
+    kernel, p = build_kernel(grid), action_matrix(0.5)
+    mixed = []
+
+    def mix(v):
+        mixed.append(v.shape)
+        return v @ p.T
+
+    seed = engine._Crop((slice(59, 60), slice(59, 60)), np.ones((1, 1, 1)), 0.0)
+    sweep = engine._sweep(kernel, seed, kernel.stencils, True, _SUM, mix)
+    crops = list(islice(sweep, 5))
+    assert [c.values.shape[:2] for c in crops] == [(k, k) for k in range(2, 7)]
+    assert mixed == [(k, k, N_ACTIONS) for k in range(3, 7)]
 
 
 def _one_sided_min_time(kernel, p, start, goal, t_max, pinned):
@@ -559,7 +579,7 @@ def test_caller_built_messages_run_on_the_whole_grid(empty5, monkeypatch):
         engine, "_offsets", lambda n, m: shapes.append((n, m)) or offsets(n, m)
     )
     message = joint_delta(grid, (2, 2), 0)
-    assert message._box is None
+    assert message._crop.box == _grow(None, kernel)
     out = forward_step(message, kernel, p)
     assert shapes == [(5, 5)]
     assert out.values.tobytes() == forward_step(
@@ -576,19 +596,19 @@ def test_flow_messages_keep_only_the_crop_on_their_box():
     flows = run_flows(kernel, setup.p_action, sc.start_cell, setup.goal, 30)
     messages = (*flows.forward, *flows.backward, *flows.posterior)
     whole = engine._area(_grow(None, kernel))
-    assert sum(engine._area(m._box) < whole for m in messages) > len(messages) // 2
+    assert sum(engine._area(m._crop.box) < whole for m in messages) > len(messages) // 2
     for message in messages:
         crop = message._crop
         placed = np.zeros((sc.grid.rows, sc.grid.cols, N_ACTIONS))
-        placed[message._box] = crop.values
-        assert crop.box == message._box
+        placed[message._crop.box] = crop.values
+        assert crop.box == message._crop.box
         assert message.values.tobytes() == placed.tobytes()
         # the crop owns its bytes, or views an array of no more: no message
         # holds on to a whole-grid array
         root = crop.values
         while root.base is not None:
             root = root.base
-        assert root.nbytes == engine._area(message._box) * N_ACTIONS * 8
+        assert root.nbytes == engine._area(message._crop.box) * N_ACTIONS * 8
 
 
 def test_steps_refuse_a_message_of_another_grid(empty5):
@@ -602,6 +622,28 @@ def test_steps_refuse_a_message_of_another_grid(empty5):
                      lambda: backward_step(b, kernel, p)):
             with pytest.raises(ValueError, match="shape does not match the grid"):
                 step()
+
+
+def test_steps_refuse_a_message_of_another_kind(empty5):
+    grid, kernel, p = empty5
+    f = initial_forward(kernel, (0, 0))
+    b = backward_terminal(goal_marginal([(4, 4)], grid), kernel)
+    q = posterior(f, b)
+    calls = [
+        (lambda: forward_step(b, kernel, p), "forward_step expects a forward"),
+        (lambda: forward_step(q, kernel, p), "forward_step expects a forward"),
+        (lambda: backward_step(f, kernel, p), "backward_step expects a backward"),
+        (lambda: backward_step(q, kernel, p), "backward_step expects a backward"),
+        # at the parent these two returned a marginal summing to 1
+        (lambda: forward_final(b, kernel), "forward_final expects a forward"),
+        (lambda: forward_final(q, kernel), "forward_final expects a forward"),
+    ]
+    for first, second in ((b, f), (f, f), (b, b), (q, b), (f, q)):
+        calls.append((lambda x=first, y=second: posterior(x, y),
+                      "posterior expects a forward and a backward"))
+    for call, match in calls:
+        with pytest.raises(ValueError, match=match):
+            call()
 
 
 def test_backward_terminal_is_linear_in_the_goal(empty5):
@@ -795,6 +837,22 @@ def test_run_flows_walled_start_gives_dead_posteriors():
     assert flows.posterior_final.sum() == 0.0
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="each message is normalized over the whole grid, and at T_min on "
+    "a long corridor the posterior lives only on both frontiers, whose mass "
+    "underflows: every slice dies although a path exists",
+)
+def test_run_flows_keeps_every_slice_alive_on_a_long_corridor():
+    # an empty 1 x 700 corridor from end to end at horizon = auto (T = 700);
+    # at 1 x 600 every slice is alive
+    flows = scenario_flows(parse_scenario("horizon = auto\n---\nS" + "." * 698 + "G\n"))
+    assert flows.horizon == 700
+    assert not any(q.is_dead for q in flows.posterior)
+    assert flows.posterior_final.sum() == pytest.approx(1.0)
+
+
 def test_run_flows_forward_normalization_and_support(rng):
     for _ in range(4):
         grid, start, goal_cell, d = feasible_instance(rng, 5, 5)
@@ -848,6 +906,22 @@ def _flow_bytes(flows) -> list[bytes]:
     return [str(a.shape).encode() + a.tobytes() for a in arrays]
 
 
+def _chained_steps(kernel, p, start, goal, horizon, start_actions) -> list[np.ndarray]:
+    """``run_flows``' messages and forward final by the public steps, chained
+    one call per slice, in ``_flow_arrays``' order."""
+    forward = [initial_forward(kernel, start, start_actions)]
+    for _ in range(2, horizon):
+        forward.append(forward_step(forward[-1], kernel, p))
+    backward = [backward_terminal(goal, kernel)]
+    for _ in range(horizon - 2):
+        backward.insert(0, backward_step(backward[0], kernel, p))
+    chain = backward_flow(kernel, p, goal, horizon)
+    assert [b.values.tobytes() for b in chain] == [b.values.tobytes() for b in backward]
+    posteriors = [posterior(f, b) for f, b in zip(forward, backward)]
+    messages = [m.values for m in (*forward, *backward, *posteriors)]
+    return messages + [forward_final(forward[-1], kernel)]
+
+
 @pytest.mark.parametrize("pinned", [None, 0, ACTION_BY_NAME["right"].index])
 @pytest.mark.parametrize("stiffness", [0.0, 0.5, 1.0])
 def test_run_flows_is_bit_identical_to_the_whole_grid_recursion(rng, stiffness, pinned):
@@ -876,6 +950,11 @@ def test_run_flows_is_bit_identical_to_the_whole_grid_recursion(rng, stiffness, 
         for a, b in zip(got, want):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
         assert np.array(flows.forward_norms).tobytes() == np.array(norms).tobytes()
+        # the public steps, chained, are the same recursion
+        chained = _chained_steps(kernel, p, start, goal, horizon, start_actions)
+        assert len(chained) == len(got) - 2
+        for a, b in zip(chained, got):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 @pytest.fixture
