@@ -3,7 +3,9 @@ transition kernels.
 
 Coordinates are (row, col) with row 0 at the top, so "up" means row - 1.
 Grid boundaries behave exactly like obstacles: any stencil mass that would
-leave the map is censored away and the remainder renormalized.
+leave the map is censored away and the remainder renormalized.  So a
+cell's stencils depend only on which cells of its 3x3 window are free, a
+9-bit pattern: a kernel is gathered from a table of the censored patterns.
 """
 
 from __future__ import annotations
@@ -89,6 +91,10 @@ class GridMap:
     @classmethod
     def from_mask(cls, mask) -> "GridMap":
         mask = np.asarray(mask)
+        if mask.ndim != 2:
+            raise ValueError(
+                f"mask must have 2 dimensions, got {mask.ndim} (shape {mask.shape})"
+            )
         return cls(mask.shape[0], mask.shape[1], mask)
 
     @property
@@ -192,7 +198,9 @@ class TransitionKernel:
     ``.transpose(3, 4, 0, 1, 2)``, so ``stencils[..., u, v]`` is the
     contiguous plane of offset (u, v) that ``engine._shift`` reads in order.
     The boolean planes derived from them (``support`` and ``cell_support``)
-    and their log (``log_stencils``) are cached in the same layout.
+    and their log (``log_stencils``) are cached in the same layout.  They
+    are per cell, so a kernel gathered from a ``_PatternTable`` (kept with
+    its per-cell index in ``_source``, not a field) gathers the table's own.
     """
 
     grid: GridMap
@@ -201,31 +209,42 @@ class TransitionKernel:
     @cached_property
     def support(self) -> np.ndarray:
         """``stencils > 0``, computed once, in the same offset-major layout."""
-        support = self.stencils > 0.0
-        support.flags.writeable = False
-        return support
+        return self._derived(_support)
 
     @cached_property
     def cell_support(self) -> np.ndarray:
         """Whether some action moves from the cell along the offset,
         ``support.any(axis=2, keepdims=True)`` of shape (rows, cols, 1, 3, 3),
-        computed once, in the same offset-major layout, without ``support``:
-        a sum of nonnegative stencil entries is positive exactly where one
-        of them is.  ``engine.min_time`` sweeps it when every (cell, action)
-        pair of a cell is reached together."""
-        planes = self.stencils.transpose(3, 4, 0, 1, 2)
-        cells = (planes @ np.ones(N_ACTIONS) > 0.0)[..., None]
-        cells.flags.writeable = False
-        return cells.transpose(2, 3, 4, 0, 1)
+        computed once, in the same offset-major layout, without ``support``.
+        ``engine.min_time`` sweeps it when every (cell, action) pair of a
+        cell is reached together."""
+        return self._derived(_cell_support)
 
     @cached_property
     def log_stencils(self) -> np.ndarray:
         """``log(stencils)``, -inf on the zero entries, computed once, in the
-        same offset-major layout (a ufunc keeps it); ``patch_kernel`` patches
-        it along with the stencils."""
-        log = _log(self.stencils)
-        log.flags.writeable = False
-        return log
+        same offset-major layout."""
+        return self._derived(_log)
+
+    def _derived(self, compute) -> np.ndarray:
+        """``compute`` of the planes, as a read-only view like ``stencils``;
+        gathered from the pattern table's when this kernel came from one."""
+        source = vars(self).get("_source")
+        if source is not None:
+            table, index = source
+            return _gathered(table.derived(compute), index)
+        planes = compute(self.stencils.transpose(3, 4, 0, 1, 2))
+        planes.flags.writeable = False
+        return planes.transpose(2, 3, 4, 0, 1)
+
+
+def _support(planes: np.ndarray) -> np.ndarray:
+    return planes > 0.0
+
+
+def _cell_support(planes: np.ndarray) -> np.ndarray:
+    # a sum of nonnegative entries is positive exactly where one of them is
+    return (planes @ np.ones(N_ACTIONS) > 0.0)[..., None]
 
 
 def _stack_masks(masks: Mapping[Action, np.ndarray]) -> np.ndarray:
@@ -252,112 +271,94 @@ def build_kernel(
     """Censor the base masks against obstacles/bounds and renormalize.
 
     Stencil entries landing on an obstacle or outside the grid are zeroed
-    and the surviving entries rescaled to sum to one.  Raises
+    and the surviving entries rescaled to sum to one.  A cell's stencils
+    depend only on its neighbourhood pattern (``_codes``), so each pattern
+    that occurs is censored once and every cell gathers its own.  Raises
     KernelDegenerateError if a free cell loses all of its mass for some
     action, which cannot happen with the default masks below sharpness 1.
     """
     if masks is None:
         masks = default_masks()
-    # valid[u, v, i, j]: the target of offset (u, v) from (i, j) is free
-    valid = np.lib.stride_tricks.sliding_window_view(
-        _padded(grid.free), (grid.rows, grid.cols)
-    )
-    planes = _censor(_stack_masks(masks), valid, grid.free)
-    planes.flags.writeable = False
-    return TransitionKernel(grid, planes.transpose(2, 3, 4, 0, 1))
+    codes = _codes(grid.free)
+    seen = np.zeros(_PATTERNS, dtype=bool)
+    seen[codes] = True
+    table = _PatternTable(masks, np.flatnonzero(seen))
+    # each cell's pattern by its place among the patterns seen
+    return table.kernel(grid, np.cumsum(seen)[codes] - 1)
 
 
-def patch_kernel(
-    base: TransitionKernel, grid: GridMap, masks: Mapping[Action, np.ndarray]
-) -> TransitionKernel:
-    """``build_kernel(grid, masks)``, given ``base = build_kernel(base.grid,
-    masks)`` on a grid of the same shape.
+#: number of 3x3 neighbourhood patterns, one bit per cell of the window
+_PATTERNS = 2**9
 
-    A cell's stencils depend only on whether it and its eight neighbours
-    are free, so only the cells within one step of a cell whose mask
-    changed are recomputed, all in one call to the expression
-    ``build_kernel`` runs; the rest, and their cached log, are copied from
-    ``base``.  The result is bit-identical to a rebuild, and so is the
-    error: every cell ``base`` kept is still fine, and the recomputed ones
-    are checked in row-major order.
-    """
-    if (grid.rows, grid.cols) != (base.grid.rows, base.grid.cols):
-        raise ValueError("a kernel can only be patched for a grid of its shape")
-    padded = _padded(grid.free)
-    # cells within one step of a changed cell, in padded coordinates first
-    i, j = np.nonzero(grid.mask != base.grid.mask)
-    near = np.zeros_like(padded)
-    near[i[:, None, None] + _DU, j[:, None, None] + _DV] = True
-    rows, cols = np.nonzero(near[1:-1, 1:-1])  # row-major, as build_kernel checks
-    fresh = _censor(
-        _stack_masks(masks),
-        padded[rows + _DU[..., None], cols + _DV[..., None]],
-        grid.free[rows, cols],
-        np.stack((rows, cols), axis=1),
-    )
-    kernel = TransitionKernel(grid, _patched(base.stencils, rows, cols, fresh))
-    log = _patched(base.log_stencils, rows, cols, _log(fresh))
-    object.__setattr__(kernel, "log_stencils", log)
-    return kernel
+#: bit of offset (u, v) in a pattern; entry (u, v) of cell (i, j) lands on
+#: cell (i + u - 1, j + v - 1), so bit 4 is the cell itself
+_BITS = np.arange(9).reshape(3, 3)
 
 
-def _patched(
-    stencils: np.ndarray, rows: np.ndarray, cols: np.ndarray, fresh: np.ndarray
-) -> np.ndarray:
-    """A read-only copy of ``stencils`` with cells (rows, cols) replaced by
-    ``fresh``, an offset-major (3, 3, cells, N_ACTIONS) array."""
-    planes = stencils.transpose(3, 4, 0, 1, 2).copy()
-    planes[:, :, rows, cols] = fresh
-    planes.flags.writeable = False
-    return planes.transpose(2, 3, 4, 0, 1)
-
-
-#: offset (u, v) of each stencil entry; entry (u, v) of cell (i, j) lands on
-#: cell (i + u - 1, j + v - 1), which is (i + u, j + v) of ``_padded``
-_DU, _DV = np.indices((3, 3))
-
-
-def _padded(free: np.ndarray) -> np.ndarray:
-    """``free`` inside a one-cell border of non-free cells."""
+def _codes(free: np.ndarray) -> np.ndarray:
+    """Each cell's neighbourhood pattern: bit ``3 * u + v`` is set when the
+    target of offset (u, v) is free, the map's border counting as blocked."""
     padded = np.zeros((free.shape[0] + 2, free.shape[1] + 2), dtype=bool)
     padded[1:-1, 1:-1] = free
-    return padded
+    # valid[u, v, i, j]: the target of offset (u, v) from (i, j) is free
+    valid = np.lib.stride_tricks.sliding_window_view(padded, free.shape)
+    return np.tensordot(1 << _BITS, valid, axes=2)
 
 
-def _censor(
-    stacked: np.ndarray,
-    valid: np.ndarray,
-    free: np.ndarray,
-    cells: np.ndarray | None = None,
-) -> np.ndarray:
-    """The censored, renormalized stencils of some cells, offset-major.
-
-    ``valid`` is (3, 3, *shape) and ``free`` is ``shape``: the whole grid,
-    or a list of cells whose (row, col) are the rows of ``cells``.  Every
-    step is per cell, so a cell gets the same bits in either form.
-    Returns a C-contiguous (3, 3, *shape, N_ACTIONS) array and raises
-    KernelDegenerateError for the first free cell, in order, that keeps no
-    mass for some action.
+class _PatternTable:
+    """The censored, renormalized stencils of some neighbourhood patterns,
+    offset-major (3, 3, patterns, N_ACTIONS), and what kernels derive from
+    them once asked for.  Each step is per cell, so a pattern gets the bits
+    of a cell with that pattern.  ``starved[k, a]``: pattern k is a free
+    cell that keeps no mass for action a.
     """
-    lead = (3, 3) + (1,) * free.ndim + (N_ACTIONS,)
-    planes = np.multiply(stacked.reshape(lead), valid[..., None], order="C")
-    # numpy's pairwise order for one contiguous 3x3 stencil (a tree of eight,
-    # then the ninth), so each row sum is bit-for-bit its stencil's own sum
-    p = planes.reshape((9,) + free.shape + (N_ACTIONS,))
-    sums = ((p[0] + p[1]) + (p[2] + p[3])) + ((p[4] + p[5]) + (p[6] + p[7])) + p[8]
 
-    dead = (sums == 0.0) & free[..., None]
-    if dead.any():
-        *where, a = np.argwhere(dead)[0]
-        i, j = where if cells is None else cells[where[0]]
-        raise KernelDegenerateError(
-            f"free cell ({i}, {j}) has no remaining transition mass for "
-            f"action '{ACTIONS[a].name}'"
-        )
+    def __init__(self, masks: Mapping[Action, np.ndarray], patterns: np.ndarray):
+        stacked = _stack_masks(masks)[:, :, None, :]
+        valid = (patterns >> _BITS[..., None]) & 1 == 1  # (3, 3, patterns)
+        free = valid[1, 1]
+        planes = np.multiply(stacked, valid[..., None], order="C")
+        # numpy's pairwise order for one contiguous 3x3 stencil (a tree of
+        # eight, then the ninth), so each row sum is bit-for-bit its
+        # stencil's own sum
+        p = planes.reshape((9,) + planes.shape[2:])
+        sums = ((p[0] + p[1]) + (p[2] + p[3])) + ((p[4] + p[5]) + (p[6] + p[7])) + p[8]
+        planes /= np.where(sums > 0.0, sums, 1.0)
+        planes[:, :, ~free] = 0.0
+        self.stencils = planes
+        self.starved = (sums == 0.0) & free[:, None]
+        self._cache = {}
 
-    planes /= np.where(sums > 0.0, sums, 1.0)
-    planes[:, :, ~free] = 0.0
-    return planes
+    def derived(self, compute) -> np.ndarray:
+        """``compute`` of the table's stencils, computed once."""
+        if compute not in self._cache:
+            self._cache[compute] = compute(self.stencils)
+        return self._cache[compute]
+
+    def kernel(self, grid: GridMap, index: np.ndarray) -> TransitionKernel:
+        """The kernel of ``grid`` whose cell (i, j) has the stencils of
+        pattern ``index[i, j]``; raises KernelDegenerateError for the first
+        free cell, in row-major order, that keeps no mass for some action."""
+        if self.starved.any():
+            dead = np.argwhere(self.starved[index])
+            if len(dead):
+                i, j, a = dead[0]
+                raise KernelDegenerateError(
+                    f"free cell ({i}, {j}) has no remaining transition mass "
+                    f"for action '{ACTIONS[a].name}'"
+                )
+        kernel = TransitionKernel(grid, _gathered(self.stencils, index))
+        object.__setattr__(kernel, "_source", (self, index))
+        return kernel
+
+
+def _gathered(table: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``table``'s (3, 3, patterns, k) planes gathered at ``index``, one
+    pattern per cell, as a read-only (rows, cols, k, 3, 3) offset-major
+    view like ``TransitionKernel.stencils``."""
+    planes = np.take(table, index, axis=2)
+    planes.flags.writeable = False
+    return planes.transpose(2, 3, 4, 0, 1)
 
 
 def _log(values: np.ndarray) -> np.ndarray:

@@ -6,9 +6,9 @@ a time inside a round; a move is visible to everyone scheduled after it,
 which rules out collisions by construction.  An agent without a plan
 this round falls back to its policy: abort raises, and wait (the default)
 and sample both stand still and replan next round with a free heading.
-An episode builds the static map's kernel once per sharpness when it
-starts, and each agent-round patches it around the other agents
-(``grid.patch_kernel``) instead of building one.
+An episode censors every 3x3 neighbourhood pattern once per sharpness
+(``grid._PatternTable``), and each agent-round gathers the dynamic map's
+kernel from that table instead of censoring the map's cells again.
 """
 
 from __future__ import annotations
@@ -25,12 +25,12 @@ from .grid import (
     Cell,
     GridMap,
     STILL,
-    TransitionKernel,
+    _PATTERNS,
+    _PatternTable,
     _check_stiffness,
+    _codes,
     action_matrix,
-    build_kernel,
     default_masks,
-    patch_kernel,
 )
 from .planner import (
     POLICY_ABORT,
@@ -149,12 +149,11 @@ def _goal_cells(spec: AgentSpec, others: Mapping[int, AgentSnapshot]):
 
 
 class _AgentRunner:
-    """Replans one agent per round, patching the static kernel ``base``."""
+    """Replans one agent per round on kernels gathered from ``table``."""
 
-    def __init__(self, spec: AgentSpec, masks: Mapping, base: TransitionKernel):
+    def __init__(self, spec: AgentSpec, table: _PatternTable):
         self.spec = spec
-        self.masks = masks
-        self.base = base
+        self.table = table
         self.p_action = action_matrix(spec.stiffness)
 
     def plan_step(
@@ -172,7 +171,7 @@ class _AgentRunner:
         initial action free.  One max-product sweep from the goal gives
         both the minimum horizon and the chain the step is decoded with;
         the step reads only its slice 2, so only the last two crops are
-        kept.  The kernel is ``base`` patched around the other agents.
+        kept.  The kernel is gathered from ``table`` by the map's patterns.
         The executed action is the stored heading, backfilled from the
         committed move when the heading was free.
         Without a plan this round (``_blocked``) abort raises and every
@@ -198,7 +197,7 @@ class _AgentRunner:
         if remaining < 2:
             return self._blocked(me)
 
-        kernel = patch_kernel(self.base, dyn, self.masks)
+        kernel = self.table.kernel(dyn, _codes(dyn.free))
         horizon, backward = 1, deque(maxlen=2)  # slices 1 and 2
         try:
             chain = engine._max_chain(
@@ -229,15 +228,15 @@ class _AgentRunner:
         return me.cell, STILL.index, None, False
 
 
-def _runners(specs: Sequence[AgentSpec], grid: GridMap) -> dict[int, _AgentRunner]:
-    """One runner per agent; the static map's kernel is built once per
-    sharpness and shared by the runners of that sharpness."""
-    static = {}
+def _runners(specs: Sequence[AgentSpec]) -> dict[int, _AgentRunner]:
+    """One runner per agent; every neighbourhood pattern is censored once
+    per sharpness, in a table shared by the runners of that sharpness."""
+    tables = {}
     for s in specs:
-        if s.sharpness not in static:
+        if s.sharpness not in tables:
             masks = default_masks(s.sharpness)
-            static[s.sharpness] = masks, build_kernel(grid, masks)
-    return {s.agent_id: _AgentRunner(s, *static[s.sharpness]) for s in specs}
+            tables[s.sharpness] = _PatternTable(masks, np.arange(_PATTERNS))
+    return {s.agent_id: _AgentRunner(s, tables[s.sharpness]) for s in specs}
 
 
 def step_world(
@@ -257,7 +256,7 @@ def step_world(
     the moves of earlier ones.
     """
     if runners is None:
-        runners = _runners(specs, grid)
+        runners = _runners(specs)
     snapshots = state.by_id()
     remaining = t_max - state.time + 1
     for aid in order:
@@ -312,7 +311,7 @@ def simulate(
             raise ValueError(f"agent {s.agent_id} starts on an obstacle")
 
     rng = np.random.default_rng(seed)
-    runners = _runners(specs, grid)
+    runners = _runners(specs)
 
     snapshots = {}
     for s in specs:

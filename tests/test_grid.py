@@ -14,14 +14,16 @@ from flowplan import (
     GridMap,
     KernelDegenerateError,
     STILL,
+    TransitionKernel,
     action_matrix,
     build_kernel,
     default_masks,
     dynamic_map,
 )
+from flowplan import engine, multiagent
 from flowplan.engine import _log
-from flowplan.grid import ACTION_BY_NAME, N_ACTIONS, patch_kernel
-from flowplan.multiagent import AgentSnapshot
+from flowplan.grid import ACTION_BY_NAME, N_ACTIONS
+from flowplan.multiagent import AgentSnapshot, AgentSpec
 
 from conftest import random_map
 
@@ -249,74 +251,140 @@ def _vertical_masks() -> dict:
     return {a: still if a == STILL else split for a in ACTIONS}
 
 
+def _whole_grid_kernel(grid, masks):
+    """The reference kernel: every cell of the map censored in one
+    whole-grid expression, as (stencils, log_stencils), both offset-major
+    (rows, cols, N_ACTIONS, 3, 3) views; raises KernelDegenerateError for
+    the first free cell, in row-major order, that keeps no mass for some
+    action."""
+    stacked = np.stack([np.asarray(masks[a], dtype=float) for a in ACTIONS], axis=-1)
+    padded = np.zeros((grid.rows + 2, grid.cols + 2), dtype=bool)
+    padded[1:-1, 1:-1] = grid.free
+    # valid[u, v, i, j]: the target of offset (u, v) from (i, j) is free
+    valid = np.lib.stride_tricks.sliding_window_view(padded, (grid.rows, grid.cols))
+    planes = np.multiply(stacked[:, :, None, None, :], valid[..., None], order="C")
+    p = planes.reshape((9, grid.rows, grid.cols, N_ACTIONS))
+    sums = ((p[0] + p[1]) + (p[2] + p[3])) + ((p[4] + p[5]) + (p[6] + p[7])) + p[8]
+    dead = (sums == 0.0) & grid.free[..., None]
+    if dead.any():
+        i, j, a = np.argwhere(dead)[0]
+        raise KernelDegenerateError(
+            f"free cell ({i}, {j}) has no remaining transition mass for "
+            f"action '{ACTIONS[a].name}'"
+        )
+    planes /= np.where(sums > 0.0, sums, 1.0)
+    planes[:, :, ~grid.free] = 0.0
+    stencils = planes.transpose(2, 3, 4, 0, 1)
+    return stencils, _log(stencils)
+
+
+def _assert_same_kernel(got, stencils, log_stencils):
+    """``got`` holds these stencils and logs bit for bit, with the supports
+    they imply, all read-only and offset-major."""
+    support = stencils > 0.0
+    for have, want in (
+        (got.stencils, stencils),
+        (got.log_stencils, log_stencils),
+        (got.support, support),
+        (got.cell_support, support.any(axis=2, keepdims=True)),
+    ):
+        assert have.transpose(3, 4, 0, 1, 2).flags.c_contiguous
+        assert not have.flags.writeable
+        assert have.shape == want.shape
+        assert have.tobytes() == want.tobytes()
+
+
 @st.composite
-def _patch_cases(draw):
+def _small_maps(draw):
+    """Masks of 1 x N, N x 1 or 2-8 a side, random cells blocked."""
     kind = draw(st.integers(0, 2))  # a third are 1 x N, a third N x 1
     n = draw(st.integers(1, 9))
     rows, cols = (1, n) if kind == 0 else (n, 1) if kind == 1 else (
         draw(st.integers(2, 8)), draw(st.integers(2, 8))
     )
-    mask = np.array(
+    return np.array(
         draw(st.lists(st.booleans(), min_size=rows * cols, max_size=rows * cols)),
         dtype=np.uint8,
     ).reshape(rows, cols)
-    mask[draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))] = 0
-    free = [tuple(int(v) for v in c) for c in np.argwhere(mask == 0)]
-    cells = draw(st.lists(st.sampled_from(free), min_size=1, max_size=8, unique=True))
-    snapshots = [
-        AgentSnapshot(k + 1, cell, None, draw(st.booleans()))
-        for k, cell in enumerate(cells)
-    ]
-    ids = [s.agent_id for s in snapshots]
-    transparent = tuple(draw(st.lists(st.sampled_from(ids), max_size=3, unique=True)))
-    return (
-        GridMap.from_mask(mask),
-        snapshots,
-        draw(st.sampled_from(ids)),
-        draw(st.booleans()),
-        transparent,
-        draw(st.one_of(st.floats(0.05, 0.95), st.just("vertical"))),
-    )
 
 
 @settings(max_examples=300, deadline=None)
-@given(_patch_cases())
-def test_patched_kernel_is_a_rebuild_byte_for_byte(case):
-    # on small maps agents often sit on the border, next to walls and next
-    # to each other
-    grid, snapshots, me, include_arrived, transparent, sharpness = case
+@given(
+    _small_maps(),
+    st.one_of(st.floats(0.05, 1.0), st.just(1.0), st.just("vertical")),
+)
+def test_build_kernel_is_the_whole_grid_censor_byte_for_byte(mask, sharpness):
+    # many cells share a neighbourhood pattern: the kernel gathers each
+    # pattern's stencils, censored once
+    grid = GridMap.from_mask(mask)
     masks = _vertical_masks() if sharpness == "vertical" else default_masks(sharpness)
     try:
-        base = build_kernel(grid, masks)
-    except KernelDegenerateError:
-        return  # only the vertical masks starve a cell of a static map
-    dyn = dynamic_map(grid, snapshots, me, include_arrived, transparent)
-    try:
-        rebuilt = build_kernel(dyn, masks)
+        want = _whole_grid_kernel(grid, masks)
     except KernelDegenerateError as err:
-        with pytest.raises(KernelDegenerateError, match=re.escape(str(err))):
-            patch_kernel(base, dyn, masks)
+        with pytest.raises(KernelDegenerateError, match=f"^{re.escape(str(err))}$"):
+            build_kernel(grid, masks)
         return
-    base.cell_support  # cached on the base, and not to be inherited
-    patched = patch_kernel(base, dyn, masks)
-    assert patched.grid is dyn
-    assert "cell_support" not in vars(patched)
-    for got, want in (
-        (patched.stencils, rebuilt.stencils),
-        (patched.log_stencils, _log(rebuilt.stencils)),
-        (patched.cell_support, rebuilt.cell_support),
-        (rebuilt.cell_support, rebuilt.support.any(axis=2, keepdims=True)),
-    ):
-        # offset-major, read-only, and the same bits
-        assert got.transpose(3, 4, 0, 1, 2).flags.c_contiguous
-        assert not got.flags.writeable
-        assert got.tobytes() == want.tobytes()
+    kernel = build_kernel(grid, masks)
+    assert kernel.grid is grid
+    _assert_same_kernel(kernel, *want)
 
 
-def test_patch_kernel_refuses_another_shape():
-    base = build_kernel(GridMap.empty(3, 4))
-    with pytest.raises(ValueError, match="of its shape"):
-        patch_kernel(base, GridMap.empty(4, 3), default_masks())
+def test_hand_built_kernel_takes_the_log_of_its_stencils():
+    grid = GridMap.empty(3, 4).with_obstacles([(1, 2)])
+    planes = build_kernel(grid).stencils.transpose(3, 4, 0, 1, 2).copy()
+    planes[:, :, 0, 0] = 0.0  # no longer a stencil any pattern has
+    planes[1, 1, 0, 0] = 1.0
+    planes.flags.writeable = False
+    stencils = planes.transpose(2, 3, 4, 0, 1)
+    _assert_same_kernel(TransitionKernel(grid, stencils), stencils, _log(stencils))
+
+
+@st.composite
+def _rounds(draw):
+    """One agent-round on a small map: agents on its free cells, the one
+    that plans, a free goal for it, the agents it sees through and whether
+    arrived agents vanish."""
+    mask = draw(_small_maps())
+    mask[draw(st.integers(0, mask.shape[0] - 1)), draw(st.integers(0, mask.shape[1] - 1))] = 0
+    free = [tuple(int(v) for v in c) for c in np.argwhere(mask == 0)]
+    cells = draw(st.lists(st.sampled_from(free), min_size=1, max_size=8, unique=True))
+    snapshots = {
+        k + 1: AgentSnapshot(k + 1, cell, None, draw(st.booleans()))
+        for k, cell in enumerate(cells)
+    }
+    me = draw(st.sampled_from(list(snapshots)))
+    others = [a for a in snapshots if a != me]
+    chase = tuple(draw(st.lists(st.sampled_from(others), max_size=3, unique=True))
+                  if others else ())
+    goal = draw(st.sampled_from([c for c in free if c not in cells] or cells))
+    spec = AgentSpec(me, snapshots[me].cell, [goal], sharpness=draw(st.floats(0.05, 0.95)),
+                     chase=chase)
+    return GridMap.from_mask(mask), snapshots, spec, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rounds())
+def test_runner_kernel_is_a_rebuild_byte_for_byte(case):
+    # on small maps agents often sit on the border, next to walls and next
+    # to each other
+    grid, snapshots, spec, vanish = case
+    seen = []
+    chain = engine._max_chain
+
+    def recording(kernel, *args):
+        seen.append(kernel)
+        return chain(kernel, *args)
+
+    runner = multiagent._runners([spec])[spec.agent_id]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_max_chain", recording)
+        runner.plan_step(grid, snapshots, 20, np.random.default_rng(0), vanish)
+    if not seen:
+        return  # goal blocked or already reached: the round plans nothing
+    dyn = dynamic_map(grid, snapshots, spec.agent_id, not vanish, spec.chase)
+    assert seen[0].grid == dyn
+    rebuilt = build_kernel(dyn, default_masks(spec.sharpness))
+    _assert_same_kernel(seen[0], rebuilt.stencils, _log(rebuilt.stencils))
 
 
 def test_gridmap_validation():
@@ -330,6 +398,12 @@ def test_gridmap_validation():
     for raw in ([[256, 0]], [[0.5, 1.0]], [[math.nan, 0]]):
         with pytest.raises(ValueError, match="mask cells must be 0 or 1"):
             GridMap.from_mask(np.array(raw))
+
+
+@pytest.mark.parametrize("shape", [(), (5,), (2, 3, 4)])
+def test_from_mask_refuses_a_mask_without_two_dimensions(shape):
+    with pytest.raises(ValueError, match=re.escape(f"got {len(shape)} (shape {shape})")):
+        GridMap.from_mask(np.zeros(shape))
 
 
 def test_gridmap_equality_and_immutability():

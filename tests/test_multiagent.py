@@ -325,7 +325,7 @@ def _rebuilding_plan_step(self, grid, snapshots, remaining, rng, arrived_vanish=
         return self._blocked(me)
     if goal[me.cell] > 0.0:
         return me.cell, STILL.index, None, True
-    kernel = build_kernel(dyn, self.masks)
+    kernel = build_kernel(dyn, default_masks(spec.sharpness))
     try:
         crops = engine._max_chain(
             kernel, self.p_action, me.cell, goal, max(remaining, 2), me.action
