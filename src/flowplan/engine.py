@@ -14,20 +14,21 @@ which is what a decoder of the single most likely path needs (the
 Viterbi recursion).  It is kept in log space, so it cannot underflow at
 any horizon, and -inf marks exactly the pairs that cannot reach the goal.
 
-Every pass is one 3 x 3 stencil loop (``_shift``) over a semiring, in
-the sense of Aji and McEliece's generalized distributive law: (0, +, x)
-for the sum-product messages, the same on bools (OR, AND) for the support
-``min_time`` propagates (of cells, or of (cell, action) pairs), and
-(-inf, max, +) and (-inf, log-sum-exp, +) on logs for the max-product
-chain and for a sum-product one that cannot underflow.  Every flow is one
-recursion, ``_sweep``, that spreads the stencil per slice from a seed:
-the start cell for the forward flow, the bounding box of the goal's
-support for the backward ones.  Each pass, and the action mix after it,
-runs on crops to its input's box grown by one cell and clipped to the
-grid (the support window).  Cells outside it would only receive the
-semiring's zero, so every pass is bit-identical to a whole-grid one, and
-so is the mix: BLAS rounds a matmul's rows alike at every width but one
-column, and a window is one column wide only on a grid that is.
+Every pass is one 3 x 3 stencil product and sum (``_shift``) over a
+semiring, in the sense of Aji and McEliece's generalized distributive
+law: (0, +, x) for the sum-product messages, the same on bools (OR, AND)
+for the support ``min_time`` propagates (of cells, or of (cell, action)
+pairs), and (-inf, max, +) and (-inf, log-sum-exp, +) on logs for the
+max-product chain and for a sum-product one that cannot underflow.
+Every flow is one recursion, ``_sweep``, that spreads the stencil per
+slice from a seed: the start cell for the forward flow, the bounding box
+of the goal's support for the backward ones.  Each pass, and the action
+mix after it, runs on crops to its input's box grown by one cell and
+clipped to the grid (the support window).  Cells outside it would only
+receive the semiring's zero, so every pass is bit-identical to a
+whole-grid one, and so is the mix: BLAS rounds a matmul's rows alike at
+every width but one column, and a window is one column wide only on a
+grid that is.
 
 Every slice is a crop on its box (``_Crop``), the semiring's zero
 elsewhere: the boolean sweeps, the decoders' chains and the public
@@ -60,7 +61,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import partial
 from itertools import count, islice
 from typing import Callable, Iterable, Iterator, TypeVar
 
@@ -73,7 +74,14 @@ FORWARD = "forward"
 BACKWARD = "backward"
 POSTERIOR = "posterior"
 
-_OFFSETS = (-1, 0, 1)
+#: ``_shift`` runs in bands of rows whose temporaries (nine products and a
+#: padded input) take about this many bytes; crowd's and the decoders'
+#: windows fit in one.  The threaded flows op holds a band per thread:
+#: open100 ``peak_rss_mb`` read 104.0/104.9 MB before bands (seeds 41/42),
+#: 103.6/103.7 at 1 MiB, 102.3/102.5 at 256 KiB, 110.0/109.9 at 4 MiB
+#: and 114.9/118.2 unbanded; below 256 KiB a 100-wide band is one row
+#: and the flows op runs twice as long
+_BAND_BYTES = 1 << 20
 
 Box = tuple[slice, slice]  # (rows, cols) slices of the grid
 
@@ -152,25 +160,6 @@ class FlowSet:
     posterior_final: np.ndarray
 
 
-@lru_cache(maxsize=256)
-def _offsets(n: int, m: int) -> tuple:
-    """(u, v, source, target) for the 9 stencil offsets on an n x m window;
-    source and target are (rows, cols) slice pairs shifted by the offset.
-    Cached per window shape: every pass on that shape reads the same table."""
-    # per axis length k and offset d: a source range and the same range
-    # shifted by d, both in [0, k)
-    rows, cols = (
-        [(slice(max(0, -d), k - max(0, d)), slice(max(0, d), k + min(0, d)))
-         for d in _OFFSETS]
-        for k in (n, m)
-    )
-    return tuple(
-        (u, v, (rs, cs), (rd, cd))
-        for u, (rs, rd) in enumerate(rows)
-        for v, (cs, cd) in enumerate(cols)
-    )
-
-
 def _box_of(mask: np.ndarray) -> Box:
     """Bounding box of the true cells of a nonempty 2-D mask."""
     rows = np.flatnonzero(mask.any(axis=1))
@@ -233,10 +222,17 @@ def _shift(
     move.  The scatter (``gather=False``) pushes each cell's mass onto its
     successors; the gather pulls successor mass back onto each (cell,
     action) pair, and a length-1 action axis gathers a cells-only marginal
-    onto every action.  Out-of-bounds targets carry zero stencil weight, so
-    clipped slices are exact.  The kernel stores its stencils offset-major
-    (see ``grid.TransitionKernel``), so ``stencils[..., u, v]`` is one
-    contiguous plane and each offset's pass reads it in order.
+    onto every action.  Out-of-bounds targets carry zero stencil weight.
+
+    A pass is one product and one reduction per band of rows, on the
+    kernel's offset-major storage (``grid.TransitionKernel``), uncopied.
+    A gather multiplies the stencils by a strided view of the band's input,
+    padded with the semiring's zero, whose plane [u, v] is the input moved
+    by offset (u, v); a scatter multiplies the sources into a zero-bordered
+    buffer and views plane [u, v] moved back.  The reduction adds the nine
+    terms in u-major order, and the zero terms for neighbours outside the
+    window are exact, so each entry is its in-window terms' sum in that
+    order.  Bands keep the temporaries near ``_BAND_BYTES``.
 
     ``semiring`` says what mass is and how it moves.  ``_SUM`` moves
     probability, and on ``bool`` stencils and values, which give ``out``
@@ -250,13 +246,35 @@ def _shift(
     drops only the semiring's zero: bit for bit the whole-grid pass there.
     """
     zero, add, multiply = semiring
-    out = np.zeros(stencils.shape[:3], np.result_type(stencils, values))
-    if zero:
-        out.fill(zero)
-    for u, v, src, dst in _offsets(*stencils.shape[:2]):
-        into, source = (src, dst) if gather else (dst, src)
-        view = out[into]
-        add(view, multiply(stencils[src][..., u, v], values[source]), out=view)
+    n, m, depth = stencils.shape[:3]
+    out = np.empty((n, m, depth), np.result_type(stencils, values))
+    planes = stencils.transpose(3, 4, 0, 1, 2)  # the kernel's own storage
+    rows = max(1, min(n, _BAND_BYTES // (9 * (m + 2) * depth * out.itemsize)))
+    if gather:  # a band's input rows and the rows around it
+        buffer = np.full((rows + 2, m + 2, values.shape[2]), zero, values.dtype)
+        terms = np.empty((3, 3, rows, m, depth), out.dtype)
+    else:  # a band's products on its sources and the sources around it
+        buffer = np.full((3, 3, rows + 2, m + 2, depth), zero, out.dtype)
+    *_, r, c, a = buffer.strides
+    for top in range(0, n, rows):
+        bottom = min(top + rows, n)
+        lo, hi = max(top - 1, 0), min(bottom + 1, n)  # the rows the band reads
+        b, into = bottom - top, slice(lo - top + 1, hi - top + 1)
+        if gather:  # plane [u, v] of the view is the input moved by (u, v)
+            buffer[into, 1:-1] = values[lo:hi]
+            if hi == bottom:  # the row below the window, kept zero
+                buffer[b + 1] = zero
+            moved = np.ndarray((3, 3, b, m, buffer.shape[2]), buffer.dtype, buffer,
+                               0, (r, c, r, c, a))
+            band = multiply(planes[:, :, top:bottom], moved, out=terms[:, :, :b])
+        else:  # products land on their sources; plane [u, v] moves them back
+            multiply(planes[:, :, lo:hi], values[lo:hi], out=buffer[:, :, into, 1:-1])
+            if hi == bottom:
+                buffer[:, :, b + 1] = zero
+            su, sv = buffer.strides[:2]
+            band = np.ndarray((3, 3, b, m, depth), out.dtype, buffer, 2 * (r + c),
+                              (su - r, sv - c, r, c, a))
+        add.reduce(band, axis=(0, 1), out=out[top:bottom])
     return out
 
 
@@ -918,7 +936,7 @@ def _pairs_repeat(
     """Whether B_j, the (cell, action) support gathered on ``window`` from
     the cell crop ``previous`` (M_(j-1)), holds the same pairs as B_(j-1),
     gathered on the window of ``previous`` from ``older`` (M_(j-2))."""
-    support = kernel.stencils[window] > 0.0
+    support = kernel.support[window]
     inner = previous.box
     before = _shift(older[inner], support[_relative(inner, window)], True)
     after = _shift(previous[window], support, True)

@@ -195,8 +195,9 @@ class TransitionKernel:
 
     Storage is offset-major: ``stencils`` is a read-only view of one
     C-contiguous (3, 3, rows, cols, N_ACTIONS) array, its
-    ``.transpose(3, 4, 0, 1, 2)``, so ``stencils[..., u, v]`` is the
-    contiguous plane of offset (u, v) that ``engine._shift`` reads in order.
+    ``.transpose(3, 4, 0, 1, 2)``, so transposing it back gives that array
+    itself: nine contiguous offset planes that ``engine._shift`` multiplies
+    in one call, uncopied.
     The boolean planes derived from them (``support`` and ``cell_support``)
     and their log (``log_stencils``) are cached in the same layout.  They
     are per cell, so a kernel gathered from a ``_PatternTable`` (kept with

@@ -210,6 +210,72 @@ def test_shift_scatter_and_gather_are_adjoint(rng, sharpness):
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
+def loop_shift(values, stencils, gather, semiring=_SUM) -> np.ndarray:
+    """The reference pass: a loop over the nine offsets that adds, in
+    u-major order, each offset's stencil plane times the input moved by it
+    on the cells where both lie inside the window."""
+    zero, add, multiply = semiring
+    out = np.full(stencils.shape[:3], zero, np.result_type(stencils, values))
+    # per axis length k and offset d: a source range and that range moved by d
+    rows, cols = (
+        [(slice(max(0, -d), k - max(0, d)), slice(max(0, d), k + min(0, d)))
+         for d in (-1, 0, 1)]
+        for k in stencils.shape[:2]
+    )
+    for u, (rs, rd) in enumerate(rows):
+        for v, (cs, cd) in enumerate(cols):
+            src, dst = (rs, cs), (rd, cd)
+            into, source = (src, dst) if gather else (dst, src)
+            view = out[into]
+            add(view, multiply(stencils[src][..., u, v], values[source]), out=view)
+    return out
+
+
+PASS_SIDE = st.integers(0, 30)  # a decoder's tube may clip a window to nothing
+PASS_SHAPES = st.one_of(
+    st.tuples(st.just(1), PASS_SIDE), st.tuples(PASS_SIDE, st.just(1)),
+    st.tuples(PASS_SIDE, PASS_SIDE),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    PASS_SHAPES,
+    st.sampled_from(["sum", "support", "cell_support", "max", "lse"]),
+    st.booleans(),
+    st.booleans(),
+    # one row per band, a few rows per band, and the default
+    st.sampled_from([1, 3000, 40000, engine._BAND_BYTES]),
+    st.integers(0, 2**32 - 1),
+)
+def test_shift_is_the_nine_offset_loop_byte_for_byte(
+    shape, kind, gather, cells_only, band_bytes, seed
+):
+    rows, cols = shape
+    rng = np.random.default_rng(seed)
+    # a window of a larger grid, so that the planes are strided crops
+    kernel = build_kernel(random_map(rng, rows + 2, cols + 2, 0.25))
+    i, j = rng.integers(0, 3, size=2)
+    window = (slice(i, i + rows), slice(j, j + cols))
+    stencils, semiring = {
+        "sum": (kernel.stencils, _SUM),
+        "support": (kernel.support, _SUM),
+        "cell_support": (kernel.cell_support, _SUM),
+        "max": (kernel.log_stencils, _MAX),
+        "lse": (kernel.log_stencils, _LSE),
+    }[kind]
+    stencils = stencils[window]
+    depth = 1 if cells_only else stencils.shape[2]
+    x = rng.random((rows, cols, depth)) * (rng.random((rows, cols, depth)) < 0.6)
+    values = x > 0.0 if "support" in kind else _log(x) if kind in ("max", "lse") else x
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_BAND_BYTES", band_bytes)
+        got = _shift(values, stencils, gather, semiring)
+    want = loop_shift(values, stencils, gather, semiring)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def _outside(values: np.ndarray, box, blank: float = 0.0) -> np.ndarray:
     """``values`` with the cells of ``box`` set to ``blank``."""
     rest = values.copy()
@@ -306,15 +372,21 @@ def test_windowed_passes_equal_the_whole_grid_pass(shape, sharpness, seed, data)
         assert not np.isfinite(_outside(values, box, -np.inf)).any()
 
 
-def test_stencil_passes_run_on_the_support_window(monkeypatch):
+def recorded_windows(monkeypatch) -> list[tuple[int, int]]:
+    """The (rows, cols) window of every stencil pass from here on, in order."""
     shapes = []
-    offsets = engine._offsets
+    shift = engine._shift
 
-    def recording(n, m):
-        shapes.append((n, m))
-        return offsets(n, m)
+    def recording(values, stencils, *args, **kwargs):
+        shapes.append(stencils.shape[:2])
+        return shift(values, stencils, *args, **kwargs)
 
-    monkeypatch.setattr(engine, "_offsets", recording)
+    monkeypatch.setattr(engine, "_shift", recording)
+    return shapes
+
+
+def test_stencil_passes_run_on_the_support_window(monkeypatch):
+    shapes = recorded_windows(monkeypatch)
     grid = GridMap.empty(60, 60)
     kernel, p = build_kernel(grid), action_matrix(0.0)
     goal = goal_marginal([(59, 59)], grid)
@@ -505,11 +577,7 @@ def test_min_time_past_its_cap_names_the_fixed_point_of_the_goal_side(t_max):
 
 
 def test_min_time_meets_in_the_middle(monkeypatch):
-    shapes = []
-    offsets = engine._offsets
-    monkeypatch.setattr(
-        engine, "_offsets", lambda n, m: shapes.append((n, m)) or offsets(n, m)
-    )
+    shapes = recorded_windows(monkeypatch)
     grid = GridMap.empty(60, 60)
     kernel, p = build_kernel(grid), action_matrix(0.0)
     goal = goal_marginal([(59, 59)], grid)
@@ -525,18 +593,14 @@ def test_min_time_stops_the_side_of_a_walled_in_start(monkeypatch):
     # F repeats after one move; B sweeps the map to its fixed point, about
     # 40 passes, where a forward side that kept going would spin to the
     # 40 * 40 * 9 move cap
-    shapes = []
-    offsets = engine._offsets
-    monkeypatch.setattr(
-        engine, "_offsets", lambda n, m: shapes.append((n, m)) or offsets(n, m)
-    )
+    shapes = recorded_windows(monkeypatch)
     walls = [(20 + i, 20 + j) for i in (-1, 0, 1) for j in (-1, 0, 1) if i or j]
     grid = GridMap.empty(40, 40).with_obstacles(walls)
     kernel, p = build_kernel(grid), action_matrix(0.0)
     goal = goal_marginal([(20, 0)], grid)
     with pytest.raises(UnreachableError, match="fixed point"):
         min_time(kernel, p, (20, 20), goal, 10**9)
-    assert len(shapes) <= 45  # the search makes 42
+    assert 0 < len(shapes) <= 45  # the search makes 42
 
 
 @pytest.mark.parametrize("stiffness", [0.0, 1.0])
@@ -573,11 +637,7 @@ def test_greedy_tube_is_exact_where_greedy_reads_it(rng, stiffness):
 
 def test_caller_built_messages_run_on_the_whole_grid(empty5, monkeypatch):
     grid, kernel, p = empty5
-    shapes = []
-    offsets = engine._offsets
-    monkeypatch.setattr(
-        engine, "_offsets", lambda n, m: shapes.append((n, m)) or offsets(n, m)
-    )
+    shapes = recorded_windows(monkeypatch)
     message = joint_delta(grid, (2, 2), 0)
     assert message._crop.box == _grow(None, kernel)
     out = forward_step(message, kernel, p)
