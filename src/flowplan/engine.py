@@ -36,15 +36,16 @@ sum-product messages, whose ``values`` places the crop on the whole grid
 at each read.  The sum-product flows run ``_sweep`` through ``_flow``,
 which divides each crop in place by the whole message's sum
 (``_normalized``, summed in a whole-grid step's order on a zero buffer
-that one ``run_flows`` or ``backward_flow`` reuses, so every message and
+that each flow makes at its first crop and reuses, so every message and
 norm is bit-identical); each public step is one ``_flow`` pass.
 
 The forward and backward recursions are independent until the posterior
 product.  On a grid of at least ``_THREADED_CELLS`` cells ``run_flows``
-runs the backward one on a second thread, with a buffer of its own, and
-joins it before the posteriors (``_beside``).  numpy releases the
-interpreter lock inside each pass, so the two overlap on two cores; each
-step is the serial one, so every array is bit-identical.
+runs the backward one on a worker of a one-thread
+``concurrent.futures.ThreadPoolExecutor`` and joins it before the
+posteriors.  numpy releases the interpreter lock inside each pass, so the
+two overlap on two cores; each step is the serial one, so every array is
+bit-identical.
 
 Both ends are used where only reachability or one path matters.
 ``min_time`` grows boolean support from the start and from the goal,
@@ -59,11 +60,9 @@ two cones.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import count, islice
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -91,9 +90,6 @@ _Mix = Callable[[np.ndarray], np.ndarray]  # a per-cell mix over actions
 _SUM: _Semiring = (0.0, np.add, np.multiply)
 _MAX: _Semiring = (-np.inf, np.maximum, np.add)  # max-product on logs
 _LSE: _Semiring = (-np.inf, np.logaddexp, np.add)  # sum-product on logs
-
-_T = TypeVar("_T")
-_U = TypeVar("_U")
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -282,7 +278,8 @@ def _normalized(crop: np.ndarray, box: Box, buffer: np.ndarray) -> float:
     """Divide ``crop``, a message's values on ``box``, in place by the
     message's sum when positive, and return the sum.  It is the sum of
     ``buffer``, whole-grid zeros that the crop is written into and erased
-    from again: a whole-grid step's order, so both are bit-identical."""
+    from again: a whole-grid step's order, so both are bit-identical.  Each
+    ``_flow`` makes its own buffer; ``run_flows`` one for its posteriors."""
     buffer[box] = crop
     total = buffer.sum()
     buffer[box] = 0.0
@@ -330,13 +327,17 @@ def _seed(message: MessageTensor, kernel: TransitionKernel) -> _Crop:
 
 
 def _flow(
-    kernel: TransitionKernel, seed: _Crop, gather: bool, mix: _Mix, buffer: np.ndarray
+    kernel: TransitionKernel, seed: _Crop, gather: bool, mix: _Mix
 ) -> Iterator[tuple[_Crop, float]]:
     """The sum-product ``_sweep`` on ``kernel.stencils`` from ``seed``, each
-    crop with the total it is divided by in place (``_normalized`` on
-    ``buffer``) before the sweep resumes.  A forward flow (the scatter)
-    whose mass vanishes raises DeadFlowError; a backward one goes on dead."""
+    crop with the total it is divided by in place before the sweep resumes:
+    ``_normalized`` on one whole-grid zero buffer of the crops' depth, made
+    at the first crop.  A forward flow (the scatter) whose mass vanishes
+    raises DeadFlowError; a backward one goes on dead."""
+    buffer = None
     for crop in _sweep(kernel, seed, kernel.stencils, gather, _SUM, mix):
+        if buffer is None:
+            buffer = np.zeros(kernel.stencils.shape[:2] + crop.values.shape[2:])
         total = _normalized(crop.values, crop.box, buffer)
         if total == 0.0 and not gather:
             raise DeadFlowError("forward mass vanished (support on obstacles only)")
@@ -356,9 +357,7 @@ def forward_step(
     p_action = _checked_actions(p_action)
     if f_prev.is_dead:
         raise DeadFlowError("forward message has no mass")
-    buffer = np.zeros(kernel.stencils.shape[:3])
-    flow = _flow(kernel, _seed(f_prev, kernel), False, lambda v: v @ p_action, buffer)
-    crop, _ = next(flow)
+    crop, _ = next(_flow(kernel, _seed(f_prev, kernel), False, lambda v: v @ p_action))
     return _message(crop.values, FORWARD, crop.box, f_prev._grid)
 
 
@@ -371,15 +370,13 @@ def backward_step(
         raise ValueError("backward_step expects a backward message")
     seed = _seed(b_next, kernel)
     seed = _Crop(seed.box, seed.values @ p_action.T, 0.0)
-    buffer = np.zeros(kernel.stencils.shape[:3])
-    crop, _ = next(_flow(kernel, seed, True, _unmixed, buffer))
+    crop, _ = next(_flow(kernel, seed, True, _unmixed))
     return _message(crop.values, BACKWARD, crop.box, b_next._grid)
 
 
 def backward_terminal(goal: np.ndarray, kernel: TransitionKernel) -> MessageTensor:
     """Backward message one step before the horizon, gathered from the goal."""
-    buffer = np.zeros(kernel.stencils.shape[:3])
-    return _backward_flow(kernel, None, goal, 2, buffer)[0]
+    return _backward_flow(kernel, None, goal, 2)[0]
 
 
 def forward_final(f_prev: MessageTensor, kernel: TransitionKernel) -> np.ndarray:
@@ -388,8 +385,7 @@ def forward_final(f_prev: MessageTensor, kernel: TransitionKernel) -> np.ndarray
         raise ValueError("forward_final expects a forward message")
     if f_prev.is_dead:
         raise DeadFlowError("forward message has no mass")
-    plane = np.zeros(kernel.stencils.shape[:2])
-    final, _ = next(_flow(kernel, _seed(f_prev, kernel), False, _cells, plane))
+    final, _ = next(_flow(kernel, _seed(f_prev, kernel), False, _cells))
     return final[f_prev._grid]
 
 
@@ -495,9 +491,7 @@ def backward_flow(
     """Backward messages for t = 1 .. horizon-1, latest time last."""
     if horizon < 2:
         raise ValueError("horizon must be at least 2")
-    p_action = _checked_actions(p_action)
-    buffer = np.zeros(kernel.stencils.shape[:3])
-    return _backward_flow(kernel, p_action, goal, horizon, buffer)
+    return _backward_flow(kernel, _checked_actions(p_action), goal, horizon)
 
 
 def _backward_flow(
@@ -505,17 +499,15 @@ def _backward_flow(
     p_action: np.ndarray | None,
     goal: np.ndarray,
     horizon: int,
-    buffer: np.ndarray,
 ) -> list[MessageTensor]:
-    """``backward_flow`` normalized on ``buffer``; horizon 2 reads no ``p_action``."""
+    """``backward_flow`` on checked actions, the body ``run_flows``' worker
+    runs in place of any public step; horizon 2 reads no ``p_action``.  A
+    kernel that moves nothing into the goal gives dead messages."""
     goal = _checked_goal(goal, kernel)
     box, grid = _box_of(goal > 0.0), _grow(None, kernel)
     seed = _Crop(box, goal[box][:, :, None], 0.0)
-    flow = _flow(kernel, seed, True, lambda v: v @ p_action.T, buffer)
-    first, total = next(flow)
-    if total == 0.0:
-        raise InvalidGoalError("goal mass sits entirely on obstacle cells")
-    crops = [first, *(crop for crop, _ in islice(flow, horizon - 2))]
+    flow = _flow(kernel, seed, True, lambda v: v @ p_action.T)
+    crops = [crop for crop, _ in islice(flow, horizon - 1)]
     return [_message(c.values, BACKWARD, c.box, grid) for c in reversed(crops)]
 
 
@@ -541,39 +533,50 @@ def run_flows(
     come back dead rather than raising, so infeasible horizons can be
     inspected.  So do slices whose whole-grid normalization underflows: at
     the minimum horizon on an empty 1 x 700 corridor every slice is dead.
+    At horizon 1 the start is the final slice: no joint slice and no norm,
+    ``forward_final`` the start cell's delta and ``posterior_final`` its
+    product with the goal, dead unless the start is on the goal.
 
     The two recursions are independent until the posterior product.  On a
-    grid of at least ``_THREADED_CELLS`` cells the backward one runs on a
-    thread of its own, with its own buffer, beside the forward one (numpy
-    releases the interpreter lock inside each pass); every step's
-    arithmetic is the serial run's, so every array is bit-identical, and
-    errors are raised in the serial order, the forward's first.
+    grid of at least ``_THREADED_CELLS`` cells the backward one
+    (``_backward_flow``, never a public step) runs on the worker of a
+    one-thread pool beside the forward one (numpy releases the interpreter
+    lock inside each pass); every step's arithmetic is the serial run's, so
+    every array is bit-identical, and errors are raised in the serial
+    order, the forward's first.  The posteriors' buffers are made after
+    both halves have returned.
     """
-    if horizon < 2:
-        raise ValueError("horizon must be at least 2")
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
     p_action = _checked_actions(p_action)
     goal = _checked_goal(goal, kernel)
     grid = _grow(None, kernel)
-    buffer, plane = (np.zeros(kernel.stencils.shape[:k]) for k in (3, 2))
+    start = initial_forward(kernel, start_cell, start_actions)
+    forward, norms, backward = [start], [], []
 
-    def forward_half():
-        forward = [initial_forward(kernel, start_cell, start_actions)]
-        norms: list[float] = []
-        flow = _flow(kernel, forward[0]._crop, False, lambda v: v @ p_action, buffer)
+    def forward_half() -> _Crop:
+        flow = _flow(kernel, start._crop, False, lambda v: v @ p_action)
         for crop, total in islice(flow, horizon - 2):
             forward.append(_message(crop.values, FORWARD, crop.box, grid))
             norms.append(total)
-        final, total = next(_flow(kernel, forward[-1]._crop, False, _cells, plane))
+        final, total = next(_flow(kernel, forward[-1]._crop, False, _cells))
         norms.append(total)
-        return forward, norms, final
+        return final
 
-    backward_half = partial(_backward_flow, kernel, p_action, goal, horizon)
-    if kernel.grid.rows * kernel.grid.cols < _THREADED_CELLS:
-        (forward, norms, final), backward = forward_half(), backward_half(buffer)
+    if horizon == 1:  # the start's slice is the final one
+        forward, final = [], _Crop(start._crop.box, np.ones((1, 1)), 0.0)
+    elif kernel.grid.rows * kernel.grid.cols < _THREADED_CELLS:
+        final = forward_half()
+        backward = _backward_flow(kernel, p_action, goal, horizon)
     else:
-        (forward, norms, final), backward = _beside(
-            forward_half, partial(backward_half, np.zeros(buffer.shape))
-        )
+        # imported here, so that a serial run does not pay for the import
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(1, thread_name_prefix="flowplan-backward") as pool:
+            backward_half = pool.submit(_backward_flow, kernel, p_action, goal, horizon)
+            final = forward_half()  # leaving the block joins the worker
+        backward = backward_half.result()
+    buffer, plane = (np.zeros(kernel.stencils.shape[:k]) for k in (3, 2))
     post_fin = final.values * goal[final.box]
     _normalized(post_fin, final.box, plane)
     posteriors = [_posterior(f, b, buffer) for f, b in zip(forward, backward)]
@@ -588,29 +591,6 @@ def run_flows(
         posterior=tuple(posteriors),
         posterior_final=_Crop(final.box, post_fin, 0.0)[grid],
     )
-
-
-def _beside(first: Callable[[], _T], second: Callable[[], _U]) -> tuple[_T, _U]:
-    """``first()`` on the calling thread and ``second()`` on a new thread,
-    joined before this returns or raises.  Errors come in the serial order:
-    ``first``'s, else ``second``'s."""
-    outcome: list = []
-
-    def run() -> None:
-        try:
-            outcome.append(second())
-        except BaseException as error:  # raised on the calling thread below
-            outcome.append(error)
-
-    worker = threading.Thread(target=run, name="flowplan-backward")
-    worker.start()
-    try:
-        value = first()
-    finally:
-        worker.join()
-    if isinstance(outcome[0], BaseException):
-        raise outcome[0]
-    return value, outcome[0]
 
 
 def _max_chain(

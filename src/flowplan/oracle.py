@@ -127,8 +127,7 @@ def dense_messages(
     f_fin = f_fin / f_fin.sum()
 
     b = chain.to_state @ goal
-    b = b / b.sum()
-    backward = [b]
+    backward = [b / b.sum() if b.any() else b]  # dead if nothing moves into the goal
     for _ in range(2, horizon):
         b = chain.joint @ backward[0]
         total = b.sum()

@@ -219,6 +219,17 @@ def test_flows_pixmap_format(tmp_path, empty5_file, capsys):
     assert ppm.startswith(b"P6\n5 5\n255\n")
 
 
+def test_flows_at_horizon_one_writes_no_frame(tmp_path, capsys):
+    # one slice: no joint tensor to draw, as at an infeasible horizon
+    f = tmp_path / "one.txt"
+    f.write_text("horizon = 1\n---\nS.G\n", encoding="utf-8")
+    out = tmp_path / "frames"
+    assert main(["flows", str(f), "--out-dir", str(out)]) == 0
+    assert list(out.iterdir()) == []
+    assert "wrote frames for horizon 1" in capsys.readouterr().out
+    assert main(["plan", str(f)]) == 1
+
+
 def test_sample_emits_seeded_blocks(capsys, empty5_file):
     assert main(["sample", empty5_file, "--n", "3", "--seed", "5"]) == 0
     out = capsys.readouterr().out
@@ -289,7 +300,7 @@ def test_time_budgets_below_their_minimum_exit_two(tmp_path, capsys, corridor_fi
 
 # header values (in range, out of range); the parser keeps the text as written
 _HEADER_VALUES = {
-    "horizon": (["auto", "2", "3", "6", "12", "30"], ["-1", "0", "1"]),
+    "horizon": (["auto", "1", "2", "3", "6", "12", "30"], ["-1", "0"]),
     "kappa": (["0.8", "0.5", "0.05", "0.9999999999999999", "1e-300", "5e-324"],
               ["0", "1", "-0.5", "1.5", "nan", "inf"]),
     "lambda": (["0", "0.3", "1", "5e-324", "0.9999999999999999"],

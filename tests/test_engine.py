@@ -16,6 +16,8 @@ from flowplan import (
     InvalidGoalError,
     KernelDegenerateError,
     MessageTensor,
+    Scenario,
+    TransitionKernel,
     UnreachableError,
     action_matrix,
     backward_step,
@@ -25,6 +27,7 @@ from flowplan import (
     forward_final,
     forward_step,
     goal_marginal,
+    greedy_plan,
     initial_forward,
     min_time,
     posterior,
@@ -1097,6 +1100,151 @@ def test_threaded_run_flows_from_several_caller_threads_agree(above_the_gate):
         sys.setswitchinterval(interval)
     assert sorted(results) == [0, 1, 2]
     assert all(got == want for got in results.values())
+
+
+def test_threaded_run_flows_runs_no_public_step_on_the_worker(
+    above_the_gate, monkeypatch
+):
+    # callers, and the benchmark's spans, wrap the public steps by name, so
+    # the worker runs only the private body of the backward flow
+    kernel, start, goal, horizon = above_the_gate
+    p = action_matrix(0.5)
+    want = _flow_bytes(run_flows(kernel, p, start, goal, horizon))
+    threads = []
+
+    def recorded(step):
+        def call(*args, **kwargs):
+            threads.append(threading.current_thread())
+            return step(*args, **kwargs)
+        return call
+
+    for name in ("initial_forward", "forward_step", "forward_final", "backward_terminal",
+                 "backward_step", "backward_flow", "posterior"):
+        monkeypatch.setattr(engine, name, recorded(getattr(engine, name)))
+    got = _flow_bytes(run_flows(kernel, p, start, goal, horizon))
+    assert threads and all(t is threading.current_thread() for t in threads)
+    assert got == want
+
+
+def _nothing_moves_into_the_middle() -> TransitionKernel:
+    """A 1 x 3 kernel whose end cells stay put and whose middle cell moves
+    right: every free cell's stencils sum to one, but no mass enters (0, 1)."""
+    planes = np.zeros((3, 3, 1, 3, N_ACTIONS))
+    planes[1, 1, 0, [0, 2]] = 1.0
+    planes[1, 2, 0, 1] = 1.0
+    planes.flags.writeable = False
+    return TransitionKernel(GridMap.empty(1, 3), planes.transpose(2, 3, 4, 0, 1))
+
+
+def test_a_goal_nothing_moves_into_gives_dead_backward_messages():
+    kernel = _nothing_moves_into_the_middle()
+    p, goal = action_matrix(0.0), goal_marginal([(0, 1)], kernel.grid)
+    assert backward_terminal(goal, kernel).is_dead
+    assert all(b.is_dead for b in backward_flow(kernel, p, goal, 4))
+    flows = run_flows(kernel, p, (0, 0), goal, 4)
+    assert all(b.is_dead for b in flows.backward)
+    assert all(q.is_dead for q in flows.posterior)
+    assert flows.forward_final[0, 0] == 1.0
+    assert flows.posterior_final.sum() == 0.0
+    dense = dense_messages(dense_chain(kernel, p), (0, 0), goal, 4)
+    assert all(not b.any() for b in dense.backward)
+    with pytest.raises(UnreachableError):
+        min_time(kernel, p, (0, 0), goal, 10)
+
+
+@pytest.mark.parametrize("start_actions", [None, np.eye(N_ACTIONS)[3]])
+def test_run_flows_at_horizon_one_is_the_start_slice(empty5, start_actions):
+    grid, kernel, p = empty5
+    goal = goal_marginal([((2, 2), 3.0), ((4, 4), 1.0)], grid)
+    for start, on_goal in (((2, 2), True), ((0, 0), False)):
+        flows = run_flows(kernel, p, start, goal, 1, start_actions)
+        assert flows.horizon == 1
+        assert flows.forward == flows.backward == flows.posterior == ()
+        assert flows.forward_norms == ()
+        delta = np.zeros((5, 5))
+        delta[start] = 1.0
+        assert np.array_equal(flows.forward_final, delta)
+        assert np.array_equal(flows.backward_final, goal)
+        assert np.array_equal(flows.posterior_final, delta if on_goal else 0 * delta)
+    with pytest.raises(ValueError, match="horizon must be at least 1"):
+        run_flows(kernel, p, (0, 0), goal, 0)
+
+
+def test_scenario_flows_of_a_start_on_its_goal_at_auto():
+    scenario = Scenario(GridMap.empty(1, 4), (0, 1), [(0, 1), (0, 3)])
+    flows = scenario_flows(scenario)
+    assert flows.horizon == 1 == greedy_plan(scenario).t_used
+    assert flows.posterior_final[0, 1] == 1.0 == flows.posterior_final.sum()
+
+
+def _dense_forward_dies(chain, start, pi, horizon) -> bool:
+    """Whether the dense forward chain's mass is zero at some step."""
+    f = np.zeros(chain.dim)
+    base = (start[0] * chain.grid.cols + start[1]) * N_ACTIONS
+    f[base : base + N_ACTIONS] = pi / pi.sum()
+    for _ in range(2, horizon):
+        f = f @ chain.joint
+        if f.sum() == 0.0:
+            return True
+        f = f / f.sum()
+    return (f @ chain.to_state).sum() == 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.tuples(st.integers(1, 5), st.integers(1, 5)),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["default", "zeros", "no residue"]),
+    st.sampled_from(["0", "0.5", "1", "general", "all zeros"]),
+    st.sampled_from(["free", "pinned", "partial"]),
+    st.integers(2, 8),
+)
+def test_run_flows_matches_the_dense_oracle_on_every_accepted_input(
+    shape, seed, masks_kind, p_kind, start_kind, horizon
+):
+    rng = np.random.default_rng(seed)
+    mask = rng.random(shape) < float(rng.choice([0.0, 0.2, 0.4]))
+    mask[rng.integers(shape[0]), rng.integers(shape[1])] = False
+    grid = GridMap.from_mask(mask)
+    try:
+        kernel = build_kernel(grid, _masks(masks_kind, rng))
+    except KernelDegenerateError:
+        return  # a free cell walled in on four sides, under "no residue"
+    if p_kind == "all zeros":
+        p = np.zeros((N_ACTIONS, N_ACTIONS))
+    else:
+        p = _p_action(p_kind, rng)
+    free = free_cells(grid)
+    start = free[rng.integers(len(free))]
+    goals = rng.choice(len(free), min(len(free), int(rng.integers(1, 4))), replace=False)
+    goal = goal_marginal([(free[k], float(rng.uniform(0.1, 1.0))) for k in goals], grid)
+    pi = {
+        "free": np.full(N_ACTIONS, 1.0),
+        "pinned": np.eye(N_ACTIONS)[rng.integers(N_ACTIONS)],
+        "partial": rng.random(N_ACTIONS) * (rng.random(N_ACTIONS) < 0.5)
+        + np.eye(N_ACTIONS)[rng.integers(N_ACTIONS)],
+    }[start_kind]
+    chain = dense_chain(kernel, p)
+    start_actions = None if start_kind == "free" else pi
+    try:
+        flows = run_flows(kernel, p, start, goal, horizon, start_actions)
+    except DeadFlowError:
+        assert _dense_forward_dies(chain, start, pi, horizon)
+        return
+    dense = dense_messages(chain, start, goal, horizon, start_actions)
+    pairs = [
+        *zip(flows.forward, dense.forward),
+        *zip(flows.backward, dense.backward),
+        *zip(flows.posterior, dense.posterior),
+    ]
+    assert len(pairs) == 3 * (horizon - 1)
+    for got, want in pairs:
+        assert np.abs(got.values - want).max() <= 1e-12
+        assert got.is_dead or want.any()
+    for name in ("forward_final", "backward_final", "posterior_final"):
+        got, want = getattr(flows, name), getattr(dense, name)
+        assert np.abs(got - want).max() <= 1e-12
+        assert want.any() or not got.any()
 
 
 def test_min_time_start_on_goal_is_one():
