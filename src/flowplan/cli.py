@@ -119,15 +119,14 @@ def _cmd_flows(args) -> int:
     out = FsPath(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ext = "txt" if args.format == "ascii" else "ppm"
-    for kind, messages in (
-        ("forward", flows.forward),
-        ("backward", flows.backward),
-        ("posterior", flows.posterior),
-    ):
-        for t, message in enumerate(messages, start=1):
+    for kind in ("forward", "backward", "posterior"):
+        for t, message in enumerate(getattr(flows, kind), start=1):
             frame = render.render_frame(message, scenario.grid, args.format)
             (out / f"{kind}_t{t:03d}.{ext}").write_bytes(frame)
-    print(f"wrote frames for horizon {flows.horizon} to {out}")
+    if flows.posterior:
+        print(f"wrote frames for horizon {flows.horizon} to {out}")
+    else:  # one slice holds no move
+        print(f"wrote no frame to {out}: horizon 1 has no joint slice")
     return EXIT_OK
 
 

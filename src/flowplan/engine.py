@@ -13,6 +13,8 @@ log-likelihood of the best continuation from every (cell, action) pair,
 which is what a decoder of the single most likely path needs (the
 Viterbi recursion).  It is kept in log space, so it cannot underflow at
 any horizon, and -inf marks exactly the pairs that cannot reach the goal.
+Its action mix is the closed form ``max(diag + v, off + max_b v)``
+(``_max_mixer``), exact for the one motion model it takes, ``action_matrix``.
 
 Every pass is one 3 x 3 stencil product and sum (``_shift``) over a
 semiring, in the sense of Aji and McEliece's generalized distributive
@@ -289,19 +291,13 @@ def _normalized(crop: np.ndarray, box: Box, buffer: np.ndarray) -> float:
 
 
 def _max_mixer(p_action: np.ndarray) -> _Mix:
-    """The max-product action mix: log of max over b of P[a, b] m(b), per a.
-
-    For ``grid.action_matrix``'s form (equal diagonal entries at least as
-    large as the equal off-diagonal ones) the best b is a itself or the
-    overall best, which avoids a 9 x 9 product per cell.
-    """
-    log_p = _log(np.asarray(p_action, dtype=float))
-    diag, off = log_p[0, 0], log_p[0, 1]
-    is_off = ~np.eye(N_ACTIONS, dtype=bool)
-    equal = (log_p.diagonal() == diag).all() and (log_p[is_off] == off).all()
-    if equal and diag >= off:
-        return lambda v: np.maximum(diag + v, off + v.max(axis=2, keepdims=True))
-    return lambda v: (v[:, :, None, :] + log_p).max(axis=3)
+    """The max-product action mix, log of max over b of P[a, b] m(b) per a,
+    as ``max(diag + v, off + max_b v)``: for ``grid.action_matrix``'s form
+    (equal diagonal entries at least the equal off-diagonal ones), the best
+    b is a or the overall best.  It reads P[0, 0] and P[0, 1] alone, so it
+    takes no other matrix."""
+    diag, off = _log(np.asarray(p_action, dtype=float)[0, :2])
+    return lambda v: np.maximum(diag + v, off + v.max(axis=2, keepdims=True))
 
 
 def _lse_mixer(p_action: np.ndarray) -> _Mix:

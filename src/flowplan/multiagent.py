@@ -38,6 +38,7 @@ from .planner import (
     GoalSpec,
     Path,
     PlanSetup,
+    _check_free,
     _check_policy,
     _check_seed,
     _check_sharpness,
@@ -142,10 +143,7 @@ def dynamic_map(
 
 
 def _goal_cells(spec: AgentSpec, others: Mapping[int, AgentSnapshot]):
-    pairs = list(spec.goals)
-    for target in spec.chase:
-        pairs.append((others[target].cell, 1.0))
-    return pairs
+    return [*spec.goals, *((others[target].cell, 1.0) for target in spec.chase)]
 
 
 class _AgentRunner:
@@ -187,8 +185,7 @@ class _AgentRunner:
                 include_arrived=not arrived_vanish,
                 transparent=spec.chase,
             )
-            goal_pairs = _goal_cells(spec, snapshots)
-            goal = goal_marginal(goal_pairs, dyn)
+            goal = goal_marginal(_goal_cells(spec, snapshots), dyn)
         except InvalidGoalError:
             return self._blocked(me)
 
@@ -307,8 +304,9 @@ def simulate(
     if len(set(starts)) != len(starts):
         raise ValueError("agents must start on distinct cells")
     for s in specs:
-        if not grid.is_free(s.start_cell):
-            raise ValueError(f"agent {s.agent_id} starts on an obstacle")
+        _check_free(s.start_cell, grid, f"agent {s.agent_id} start", ValueError)
+        for cell, _ in s.goals:  # another agent may hold a goal, a wall may not
+            _check_free(cell, grid, f"agent {s.agent_id} goal {cell}")
 
     rng = np.random.default_rng(seed)
     runners = _runners(specs)

@@ -51,10 +51,18 @@ def goal_marginal(goals: GoalSpec, grid: GridMap) -> np.ndarray:
     pairs = _normalized_goals(goals)
     out = np.zeros((grid.rows, grid.cols))
     for cell, weight in pairs:
-        if not grid.is_free(cell):
-            raise InvalidGoalError(f"goal {cell} is on an obstacle")
+        _check_free(cell, grid, f"goal {cell}")
         out[cell] += weight
     return out
+
+
+def _check_free(cell: Cell, grid: GridMap, what: str, error=InvalidGoalError) -> None:
+    """Refuse ``what`` (a start, goal or step) unless ``cell`` is a free
+    cell of ``grid``: it is "off the R x C grid" or "on an obstacle"."""
+    if not grid.in_bounds(cell):
+        raise error(f"{what} is off the {grid.rows}x{grid.cols} grid")
+    if not grid.is_free(cell):
+        raise error(f"{what} is on an obstacle")
 
 
 def _normalized_goals(goals: GoalSpec) -> tuple[tuple[Cell, float], ...]:
@@ -156,8 +164,7 @@ class Scenario:
     goal_stop: bool = True
 
     def __post_init__(self):
-        if not self.grid.is_free(self.start_cell):
-            raise ValueError(f"start {self.start_cell} is not a free cell")
+        _check_free(self.start_cell, self.grid, f"start {self.start_cell}", ValueError)
         _check_sharpness(self.sharpness)
         _check_stiffness(self.stiffness)
         _check_seed(self.seed)
@@ -166,8 +173,7 @@ class Scenario:
         _check_search_cap(self.t_max)
         object.__setattr__(self, "goals", _normalized_goals(self.goals))
         for cell, _ in self.goals:
-            if not self.grid.is_free(cell):
-                raise InvalidGoalError(f"goal {cell} is on an obstacle")
+            _check_free(cell, self.grid, f"goal {cell}")
 
     @property
     def goal_cells(self) -> tuple[Cell, ...]:
@@ -210,8 +216,7 @@ def validate_path(path: Path, grid: GridMap) -> None:
     for k, (t, cell, action) in enumerate(path.steps):
         if t != path.steps[0][0] + k:
             raise ValueError("time indices must increase by 1")
-        if not grid.is_free(cell):
-            raise ValueError(f"step at t={t} on obstacle/out of bounds {cell}")
+        _check_free(cell, grid, f"step {cell} at t={t}", ValueError)
         if action is None and k != len(path.steps) - 1:
             raise ValueError("only the final step may omit the action")
         if action is not None and not 0 <= action < N_ACTIONS:

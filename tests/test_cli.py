@@ -226,7 +226,7 @@ def test_flows_at_horizon_one_writes_no_frame(tmp_path, capsys):
     out = tmp_path / "frames"
     assert main(["flows", str(f), "--out-dir", str(out)]) == 0
     assert list(out.iterdir()) == []
-    assert "wrote frames for horizon 1" in capsys.readouterr().out
+    assert capsys.readouterr().out == f"wrote no frame to {out}: horizon 1 has no joint slice\n"
     assert main(["plan", str(f)]) == 1
 
 

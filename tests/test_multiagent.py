@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -225,6 +226,22 @@ def test_simulate_validates_inputs():
         AgentSpec(1, (0, 0), [(1, 1)], policy="bogus")
     with pytest.raises(ValueError, match="non-negative integer, got -1"):
         simulate([AgentSpec(1, (0, 0), [(2, 2)])], grid, 10, seed=-1)
+
+
+@pytest.mark.parametrize("goals, why", [
+    ([(9, 9)], "goal (9, 9) is off the 3x3 grid"),
+    ([(2, 2)], "goal (2, 2) is on an obstacle"),
+    ([(0, 2), (2, 2)], "goal (2, 2) is on an obstacle"),
+])
+def test_simulate_refuses_a_static_goal_no_agent_can_reach(goals, why):
+    # a goal off the grid or on a wall is never free: without this check
+    # the agent waited every round and the episode timed out
+    grid = GridMap.empty(3, 3).with_obstacles([(2, 2)])
+    specs = [AgentSpec(2, (1, 1), [(0, 0)]), AgentSpec(1, (0, 0), goals)]
+    with pytest.raises(InvalidGoalError, match=re.escape(f"agent 1 {why}")):
+        simulate(specs, grid, 10)
+    with pytest.raises(ValueError, match=re.escape("agent 3 start is off the 3x3 grid")):
+        simulate([AgentSpec(3, (0, 3), [(0, 0)])], grid, 10)
 
 
 def test_a_round_without_two_slices_left_stands_still():

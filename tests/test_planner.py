@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -60,6 +61,25 @@ def test_goal_marginal_rejects_obstacle_goal():
         goal_marginal([(1, 1)], grid)
     with pytest.raises(InvalidGoalError):
         goal_marginal([((0, 0), -1.0)], grid)
+
+
+@pytest.mark.parametrize("cell, why", [
+    ((1, 1), "on an obstacle"),
+    ((10, 10), "off the 3x4 grid"),
+    ((-1, 0), "off the 3x4 grid"),
+])
+def test_cells_that_are_not_free_are_refused_with_the_reason(cell, why):
+    grid = GridMap.empty(3, 4).with_obstacles([(1, 1)])
+    want = f"goal {cell} is {why}"
+    with pytest.raises(InvalidGoalError, match=re.escape(want)):
+        goal_marginal([(0, 0), cell], grid)
+    with pytest.raises(InvalidGoalError, match=re.escape(want)):
+        Scenario(grid, (0, 0), [(0, 3), cell])
+    with pytest.raises(ValueError, match=re.escape(f"start {cell} is {why}")):
+        Scenario(grid, cell, [(0, 3)])
+    path = Path(((1, (0, 0), 0), (2, cell, None)), False)
+    with pytest.raises(ValueError, match=re.escape(f"step {cell} at t=2 is {why}")):
+        validate_path(path, grid)
 
 
 @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
