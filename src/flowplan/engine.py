@@ -15,13 +15,19 @@ Viterbi recursion).  It is kept in log space, so it cannot underflow at
 any horizon, and -inf marks exactly the pairs that cannot reach the goal.
 Its action mix is the closed form ``max(diag + v, off + max_b v)``
 (``_max_mixer``), exact for the one motion model it takes, ``action_matrix``.
+Under uniform switching (diag = off) that mix gives every action of a cell
+``off + max_b v``, so the runner's chain (``_max_chain``) carries one
+value per cell, the max over actions, bit for bit: the max is taken
+before the gather, on ``TransitionKernel.log_cell_stencils``, and only
+the slice a step reads is gathered as pairs.
 
 Every pass is one 3 x 3 stencil product and sum (``_shift``) over a
 semiring, in the sense of Aji and McEliece's generalized distributive
 law: (0, +, x) for the sum-product messages, the same on bools (OR, AND)
 for the support ``min_time`` propagates (of cells, or of (cell, action)
 pairs), and (-inf, max, +) and (-inf, log-sum-exp, +) on logs for the
-max-product chain and for a sum-product one that cannot underflow.
+max-product chain (of cells, or of pairs) and for a sum-product one that
+cannot underflow.
 Every flow is one recursion, ``_sweep``, that spreads the stencil per
 slice from a seed: the start cell for the forward flow, the bounding box
 of the goal's support for the backward ones.  Each pass, and the action
@@ -64,7 +70,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import count, islice
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -290,13 +296,17 @@ def _normalized(crop: np.ndarray, box: Box, buffer: np.ndarray) -> float:
     return total
 
 
-def _max_mixer(p_action: np.ndarray) -> _Mix:
+def _max_mixer(p_action: np.ndarray, cells: bool = False) -> _Mix:
     """The max-product action mix, log of max over b of P[a, b] m(b) per a,
     as ``max(diag + v, off + max_b v)``: for ``grid.action_matrix``'s form
     (equal diagonal entries at least the equal off-diagonal ones), the best
     b is a or the overall best.  It reads P[0, 0] and P[0, 1] alone, so it
-    takes no other matrix."""
+    takes no other matrix.  With ``cells`` it mixes M, one value per cell
+    (the max over actions of v), into ``off + M``: where diag = off, every
+    action's mix, as fl(off + v_a) <= fl(off + M) by monotone rounding."""
     diag, off = _log(np.asarray(p_action, dtype=float)[0, :2])
+    if cells:
+        return lambda v: off + v
     return lambda v: np.maximum(diag + v, off + v.max(axis=2, keepdims=True))
 
 
@@ -596,17 +606,48 @@ def _max_chain(
     goal: np.ndarray,
     t_max: int,
     start_action: int | None = None,
-) -> Iterable[_Crop]:
+) -> tuple[list[_Crop], _Crop | None]:
     """The log max-product backward chain at the horizon ``min_time`` would
-    return, as crops, the slice before the goal first.  One sweep from the
-    goal gives both: a finite log value is exactly the support ``min_time``
-    propagates, so the sweep stops at the first slice finite at the start.
-    Its arguments and errors are those of ``min_time``."""
+    return, as crops, the slice before the goal first, and its slice 2 as
+    (cell, action) pairs exact on the start's 3 x 3 (None when slice 2 is
+    the goal's): what a greedy step from the start reads.  One sweep from
+    the goal gives both: a finite log value is exactly the support
+    ``min_time`` propagates, so the sweep stops at the first slice finite
+    at the start (``_until_start``).  Its arguments and errors are those of
+    ``min_time``.
+
+    Under uniform switching (P[0, 0] = P[0, 1] > 0) the mix gives every
+    action of a cell the same value, ``off + M``, with M the max over
+    actions.  So the sweep carries M_j, the pairs slice B_j's max over
+    actions, one value per cell: a depth-1 gather on
+    ``TransitionKernel.log_cell_stencils`` from ``off + M_(j-1)``, bit for
+    bit B_j's max, as max_a fl(L_a + x) = fl(max_a L_a + x) (the
+    generalized distributive law, with rounding monotone).  Slice 2's pairs
+    are then one gather on the start's 3 x 3 (on its 5 x 5, read inside)
+    from mixed slice 3, or from the goal at horizon 3, with the log
+    stencils of those cells alone (``log_stencils_on``): bit for bit the
+    pairs sweep's.  Other matrices sweep the pairs.
+    """
     goal = _checked_start_goal(kernel, start_cell, goal, t_max)
     if goal[start_cell] > 0.0:
-        return []
-    sweep = _goal_sweep(kernel, p_action, goal, _MAX)
-    return _until_start(sweep, kernel, start_cell, start_action, t_max)
+        return [], None
+    p = np.asarray(p_action, dtype=float)
+    if not p[0, 0] == p[0, 1] > 0.0:  # the pairs sweep
+        sweep = _goal_sweep(kernel, p_action, goal, _MAX)
+        crops = list(_until_start(sweep, kernel, start_cell, start_action, t_max))
+        return crops, crops[-2] if len(crops) > 1 else None
+    box = _box_of(goal > 0.0)
+    seed = _Crop(box, _log(goal[box])[:, :, None], -np.inf)  # as ``_goal_sweep``'s
+    mix = _max_mixer(p, cells=True)
+    sweep = _sweep(kernel, seed, kernel.log_cell_stencils, True, _MAX, mix)
+    cells = _Crop(box, (goal[box] > 0.0)[:, :, None], False)
+    crops = list(_until_start(sweep, kernel, start_cell, start_action, t_max, cells))
+    if len(crops) < 2:
+        return crops, None
+    inner, window = _around(start_cell, 1, kernel), _around(start_cell, 2, kernel)
+    values = mix(crops[-3][window]) if len(crops) > 2 else seed[window]
+    pairs = _shift(values, kernel.log_stencils_on(window), True, _MAX)
+    return crops, _Crop(inner, pairs[_relative(inner, window)], -np.inf)
 
 
 def min_time(
@@ -872,38 +913,53 @@ def _until_start(
     holds the one before it, so comparing the supports on the crops
     compares the same sets the whole-grid slices would (``_repeats``).
 
-    Given ``cells``, the goal's cells, the sweep is one on
-    ``cell_support`` from them: its j-th crop M_j is the ``any`` over
-    actions of the (cell, action) support B_j, and the stopping rules stay
-    those of B.  M_j = M_(j-1) gives B_(j+1) = B_j, but may come one
-    gather before B_j = B_(j-1); so the first repeat of M is checked on
-    the pairs (``_pairs_repeat``), and if they lag, B repeats at the next
-    gather.
+    Given ``cells``, the goal's cells, the sweep is one of cells from them
+    (``min_time``'s on ``cell_support``, ``_max_chain``'s on
+    ``log_cell_stencils``): its j-th crop M_j has the support of the
+    ``any`` over actions of the (cell, action) support B_j, which is the
+    gather of M_(j-1) on ``support``, and the stopping rules stay those of
+    B.  M_j = M_(j-1) gives B_(j+1) = B_j, but may come one gather before
+    B_j = B_(j-1); so the first repeat of M is checked on the pairs
+    (``_pairs_repeat``), and if they lag, B repeats at the next gather.  A
+    free start action meets B_j where M_j holds the start; a pinned one,
+    where its moves from the start (its ``support``) meet M_(j-1), which is
+    the goal's cells at j = 1.
     """
     # any backward support needs at most one sweep of the joint space
     hard_cap = kernel.grid.rows * kernel.grid.cols * N_ACTIONS + 1
-    start = _start_pairs(kernel, start_cell, start_action)
+    pinned = cells is not None and start_action is not None
+    start = (_moves if pinned else _start_pairs)(kernel, start_cell, start_action)
     older = previous = None
     for gathers, crop in enumerate(sweep, start=1):
         sup = _Crop(crop.box, crop.values != crop.zero, False)
+        # M_(j-1) here and M_(j-2) below are the goal's cells at j = 1 and
+        # 2, before a repeat of M can clear ``cells``
+        last = previous or cells
         if _repeats(previous, sup):
-            # M_(j-2) is the goal's cells at the second gather
-            if cells is None or _pairs_repeat(
-                kernel, older or cells, previous, sup.box
-            ):
+            if cells is None or _pairs_repeat(kernel, older or cells, previous, sup.box):
                 raise UnreachableError(
                     f"backward support reached a fixed point without touching "
                     f"{start_cell}"
                 )
             cells = None
         yield crop
-        if _meets(start, sup):
+        if _meets(start, last if pinned else sup):
             return
         if gathers + 1 >= t_max or gathers > hard_cap:
             raise UnreachableError(
                 f"no backward mass at {start_cell} within horizon {t_max}"
             )
         older, previous = previous, sup
+
+
+def _moves(kernel: TransitionKernel, cell: Cell, action: int) -> _Crop:
+    """The cells ``action`` moves to from ``cell``, as a support crop on
+    the cell's 3 x 3 (``support`` of the cell and action)."""
+    i, j = cell
+    box = _around(cell, 1, kernel)
+    stencil_box = (slice(i - 1, i + 2), slice(j - 1, j + 2))
+    moves = kernel.stencils[i, j, action] > 0.0
+    return _Crop(box, moves[_relative(box, stencil_box)][:, :, None], False)
 
 
 def _pairs_repeat(

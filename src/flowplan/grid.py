@@ -198,10 +198,12 @@ class TransitionKernel:
     ``.transpose(3, 4, 0, 1, 2)``, so transposing it back gives that array
     itself: nine contiguous offset planes that ``engine._shift`` multiplies
     in one call, uncopied.
-    The boolean planes derived from them (``support`` and ``cell_support``)
-    and their log (``log_stencils``) are cached in the same layout.  They
-    are per cell, so a kernel gathered from a ``_PatternTable`` (kept with
-    its per-cell index in ``_source``, not a field) gathers the table's own.
+    The boolean planes derived from them (``support`` and ``cell_support``),
+    their log (``log_stencils``) and its best heading (``log_cell_stencils``)
+    are cached in the same layout.  They are per cell, so a kernel gathered
+    from a ``_PatternTable`` (kept with its per-cell index in ``_source``,
+    not a field) gathers the table's own, and ``log_stencils_on`` gathers
+    the table's log for a few cells alone.
     """
 
     grid: GridMap
@@ -227,6 +229,23 @@ class TransitionKernel:
         same offset-major layout."""
         return self._derived(_log)
 
+    @cached_property
+    def log_cell_stencils(self) -> np.ndarray:
+        """The best action's log per offset, ``log_stencils.max(axis=2,
+        keepdims=True)`` of shape (rows, cols, 1, 3, 3), computed once, in
+        the same offset-major layout, without ``log_stencils``.
+        ``engine._max_chain`` sweeps it under uniform switching."""
+        return self._derived(_log_cell)
+
+    def log_stencils_on(self, box: tuple[slice, slice]) -> np.ndarray:
+        """``log_stencils[box]`` bit for bit; a kernel gathered from a
+        pattern table gathers the table's log for the box's cells alone."""
+        source = vars(self).get("_source")
+        if source is None:
+            return self.log_stencils[box]
+        table, index = source
+        return _gathered(table.derived(_log), index[box])
+
     def _derived(self, compute) -> np.ndarray:
         """``compute`` of the planes, as a read-only view like ``stencils``;
         gathered from the pattern table's when this kernel came from one."""
@@ -246,6 +265,10 @@ def _support(planes: np.ndarray) -> np.ndarray:
 def _cell_support(planes: np.ndarray) -> np.ndarray:
     # a sum of nonnegative entries is positive exactly where one of them is
     return (planes @ np.ones(N_ACTIONS) > 0.0)[..., None]
+
+
+def _log_cell(planes: np.ndarray) -> np.ndarray:
+    return _log(planes).max(axis=-1, keepdims=True)
 
 
 def _stack_masks(masks: Mapping[Action, np.ndarray]) -> np.ndarray:

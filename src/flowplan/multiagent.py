@@ -13,7 +13,6 @@ kernel from that table instead of censoring the map's cells again.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -168,8 +167,11 @@ class _AgentRunner:
         joint delta; a heading of None (before the first move) leaves the
         initial action free.  One max-product sweep from the goal gives
         both the minimum horizon and the chain the step is decoded with;
-        the step reads only its slice 2, so only the last two crops are
-        kept.  The kernel is gathered from ``table`` by the map's patterns.
+        the step reads only its slice 2 on the agent's 3 x 3, which
+        ``engine._max_chain`` returns as (cell, action) pairs while its
+        sweep carries one value per cell under uniform switching (the
+        default stiffness 0).  The kernel is gathered from ``table`` by the
+        map's patterns.
         The executed action is the stored heading, backfilled from the
         committed move when the heading was free.
         Without a plan this round (``_blocked``) abort raises and every
@@ -195,19 +197,16 @@ class _AgentRunner:
             return self._blocked(me)
 
         kernel = self.table.kernel(dyn, _codes(dyn.free))
-        horizon, backward = 1, deque(maxlen=2)  # slices 1 and 2
         try:
-            chain = engine._max_chain(
+            crops, pairs = engine._max_chain(
                 kernel, self.p_action, me.cell, goal, remaining, me.action
             )
-            for crop in chain:
-                horizon += 1
-                backward.appendleft(crop)
         except UnreachableError:
             return self._blocked(me)
 
+        # the greedy commit of slice 2 reads that slice alone
         executed, cell, heading = _commit_next(
-            PlanSetup(kernel, self.p_action, goal), backward, horizon, 2,
+            PlanSetup(kernel, self.p_action, goal), [None, pairs], len(crops) + 1, 2,
             me.cell, me.action, spec.policy, rng, draw=False,
         )
         if cell in {snapshots[t].cell for t in spec.chase}:
@@ -223,6 +222,28 @@ class _AgentRunner:
                 f"agent {self.spec.agent_id} blocked at {me.cell}"
             )
         return me.cell, STILL.index, None, False
+
+
+def _check_specs(specs: Sequence[AgentSpec], grid: GridMap) -> None:
+    """Refuse agents that share an id or a start cell, a start or a static
+    goal that is not a free cell of ``grid``, and a chase of an agent that
+    is not another one of ``specs``."""
+    ids = [s.agent_id for s in specs]
+    if len(set(ids)) != len(ids):
+        raise ValueError("agent ids must be unique")
+    starts = [s.start_cell for s in specs]
+    if len(set(starts)) != len(starts):
+        raise ValueError("agents must start on distinct cells")
+    for s in specs:
+        _check_free(s.start_cell, grid, f"agent {s.agent_id} start", ValueError)
+        for cell, _ in s.goals:  # another agent may hold a goal, a wall may not
+            _check_free(cell, grid, f"agent {s.agent_id} goal {cell}")
+        for target in s.chase:
+            if target == s.agent_id or target not in ids:
+                raise ValueError(
+                    f"agent {s.agent_id} chases agent {target}, "
+                    f"which is not another agent of the run"
+                )
 
 
 def _runners(specs: Sequence[AgentSpec]) -> dict[int, _AgentRunner]:
@@ -250,9 +271,11 @@ def step_world(
     """Advance the world one slice, scheduling agents in the given order.
 
     Position updates apply immediately, so agents later in the order see
-    the moves of earlier ones.
+    the moves of earlier ones.  Without ``runners`` it checks ``specs`` as
+    ``simulate`` does, then builds them.
     """
     if runners is None:
+        _check_specs(specs, grid)
         runners = _runners(specs)
     snapshots = state.by_id()
     remaining = t_max - state.time + 1
@@ -297,16 +320,8 @@ def simulate(
     _check_schedule(schedule)
     _check_t_max(t_max)
     _check_seed(seed)
+    _check_specs(specs, grid)
     ids = [s.agent_id for s in specs]
-    if len(set(ids)) != len(ids):
-        raise ValueError("agent ids must be unique")
-    starts = [s.start_cell for s in specs]
-    if len(set(starts)) != len(starts):
-        raise ValueError("agents must start on distinct cells")
-    for s in specs:
-        _check_free(s.start_cell, grid, f"agent {s.agent_id} start", ValueError)
-        for cell, _ in s.goals:  # another agent may hold a goal, a wall may not
-            _check_free(cell, grid, f"agent {s.agent_id} goal {cell}")
 
     rng = np.random.default_rng(seed)
     runners = _runners(specs)

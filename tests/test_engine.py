@@ -68,9 +68,24 @@ def log_flow(kernel, p, goal, horizon, semiring=_MAX) -> list[np.ndarray]:
 
 
 def max_chain(kernel, p, start, goal, t_max, pinned=None) -> list[np.ndarray]:
-    """``engine._max_chain`` read whole-grid, the start's slice first."""
-    crops = engine._max_chain(kernel, p, start, goal, t_max, pinned)
+    """``engine._max_chain``'s crops read whole-grid, the start's slice
+    first: one value per cell under uniform switching."""
+    crops, _ = engine._max_chain(kernel, p, start, goal, t_max, pinned)
     return [crop[_grow(None, kernel)] for crop in crops][::-1]
+
+
+def pairs_chain(kernel, p, start, goal, t_max, pinned=None) -> list | str:
+    """The max-product chain on (cell, action) pairs, ``_until_start`` of
+    the unclipped ``_goal_sweep``, as crops, the slice before the goal
+    first, or its UnreachableError message."""
+    goal = engine._checked_goal(goal, kernel)
+    if goal[start] > 0.0:
+        return []
+    sweep = engine._goal_sweep(kernel, p, goal, _MAX)
+    try:
+        return list(engine._until_start(sweep, kernel, start, pinned, t_max))
+    except UnreachableError as err:
+        return str(err)
 
 
 @pytest.fixture
@@ -1405,6 +1420,9 @@ def test_log_sum_product_sweep_matches_the_dense_chain(rng, p_kind):
 
 @pytest.mark.parametrize("stiffness", [0.0, 0.5, 1.0])
 def test_max_backward_chain_is_the_max_flow_at_min_time(rng, stiffness):
+    # under uniform switching (stiffness 0) the chain carries each slice's
+    # max over actions; slice 2, which a step reads on the start's 3 x 3,
+    # comes back as (cell, action) pairs either way
     p = action_matrix(stiffness)
     for _ in range(6):
         grid = random_map(rng, 5, 5, 0.35)
@@ -1420,12 +1438,71 @@ def test_max_backward_chain_is_the_max_flow_at_min_time(rng, stiffness):
                     want = min_time(kernel, p, start, goal, t_max, start_action=pinned)
                 except UnreachableError as err:
                     with pytest.raises(UnreachableError, match=re.escape(str(err))):
-                        max_chain(kernel, p, start, goal, t_max, pinned)
+                        engine._max_chain(kernel, p, start, goal, t_max, pinned)
+                    assert pairs_chain(kernel, p, start, goal, t_max, pinned) == str(err)
                     continue
-                chain = max_chain(kernel, p, start, goal, t_max, pinned)
-                assert len(chain) + 1 == want
+                crops, pairs = engine._max_chain(kernel, p, start, goal, t_max, pinned)
+                assert len(crops) + 1 == want
+                chain = [crop[_grow(None, kernel)] for crop in crops][::-1]
                 flow = log_flow(kernel, p, goal, want)
-                assert all(np.array_equal(a, b) for a, b in zip(chain, flow))
+                cells = [f.max(axis=2, keepdims=True) for f in flow]
+                for got, full, best in zip(chain, flow, cells):
+                    assert got.tobytes() == (best if stiffness == 0.0 else full).tobytes()
+                around = engine._around(start, 1, kernel)
+                assert pairs is None if want == 2 else (
+                    pairs[around].tobytes() == flow[1][around].tobytes()
+                )
+
+
+def _blocked_heading(grid: GridMap, cell) -> list[int]:
+    """A heading whose own offset from ``cell`` is off the grid or on an
+    obstacle, if there is one."""
+    for action in ACTIONS[1:]:
+        if not grid.is_free((cell[0] + action.dy, cell[1] + action.dx)):
+            return [action.index]
+    return []
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _layouts(),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["default", "zeros", "no residue"]),
+    st.integers(0, N_ACTIONS - 1),
+    st.integers(2, 40),
+)
+@example((("..#####.#",), (((0, 7), ((0, 1),)),)), 0, "default", 0, 3)
+@example((("..##....#", "#.#...##."), (((0, 1), ((0, 6),)),)), 0, "default", 0, 5)
+def test_max_chain_on_cells_is_the_pairs_chain(layout, seed, masks_kind, pinned, t_max):
+    # stiffness 0: the horizon, the error and its message, and slice 2 on
+    # the start's 3 x 3 are the pairs chain's byte for byte, and every crop
+    # is its max over actions, for a free heading, a drawn one and one whose
+    # own move is blocked
+    lines, queries = layout
+    grid = _text_map(lines)
+    try:
+        kernel = build_kernel(grid, _masks(masks_kind, np.random.default_rng(seed)))
+    except KernelDegenerateError:
+        return  # a free cell walled in on four sides, under "no residue"
+    p = action_matrix(0.0)
+    for start, goals in queries:
+        goal = goal_marginal(list(goals), grid)
+        for heading in dict.fromkeys([None, pinned, *_blocked_heading(grid, start)]):
+            want = pairs_chain(kernel, p, start, goal, t_max, heading)
+            try:
+                crops, pairs = engine._max_chain(kernel, p, start, goal, t_max, heading)
+            except UnreachableError as err:
+                assert str(err) == want
+                continue
+            assert not isinstance(want, str) and len(crops) == len(want)
+            for got, full in zip(crops, want):
+                assert got.box == full.box
+                assert got.values.tobytes() == full.values.max(axis=2, keepdims=True).tobytes()
+            around = engine._around(start, 1, kernel)
+            if len(want) < 2:
+                assert pairs is None
+            else:
+                assert pairs[around].tobytes() == want[-2][around].tobytes()
 
 
 def test_increasing_horizon_preserves_feasibility(rng):

@@ -287,11 +287,16 @@ def _assert_same_kernel(got, stencils, log_stencils):
         (got.log_stencils, log_stencils),
         (got.support, support),
         (got.cell_support, support.any(axis=2, keepdims=True)),
+        (got.log_cell_stencils, log_stencils.max(axis=2, keepdims=True)),
     ):
         assert have.transpose(3, 4, 0, 1, 2).flags.c_contiguous
         assert not have.flags.writeable
         assert have.shape == want.shape
         assert have.tobytes() == want.tobytes()
+    # the log of a few cells, gathered alone
+    rows, cols = stencils.shape[:2]
+    for box in ((slice(0, 1), slice(0, 1)), (slice(rows // 2, rows), slice(0, cols))):
+        assert got.log_stencils_on(box).tobytes() == log_stencils[box].tobytes()
 
 
 @st.composite

@@ -244,6 +244,35 @@ def test_simulate_refuses_a_static_goal_no_agent_can_reach(goals, why):
         simulate([AgentSpec(3, (0, 3), [(0, 0)])], grid, 10)
 
 
+@pytest.mark.parametrize("goals, why", [
+    ([(9, 9)], "goal (9, 9) is off the 3x3 grid"),
+    ([(2, 2)], "goal (2, 2) is on an obstacle"),
+])
+def test_step_world_refuses_the_specs_simulate_refuses(goals, why):
+    # without its own runners step_world checks the specs it builds them
+    # from: such an agent used to stand on (0, 0) round after round
+    grid = GridMap.empty(3, 3).with_obstacles([(2, 2)])
+    specs = [AgentSpec(1, (0, 0), goals)]
+    state = multiagent.WorldState(1, (AgentSnapshot(1, (0, 0), None, False),))
+    rng = np.random.default_rng(0)
+    with pytest.raises(InvalidGoalError, match=re.escape(f"agent 1 {why}")):
+        multiagent.step_world(grid, state, specs, 10, [1], rng)
+    chaser = [AgentSpec(1, (0, 0), chase=(1,))]
+    with pytest.raises(ValueError, match="agent 1 chases agent 1,"):
+        multiagent.step_world(grid, state, chaser, 10, [1], rng)
+
+
+@pytest.mark.parametrize("chase, target", [((7,), 7), ((2, 1), 1)])
+def test_simulate_refuses_a_chase_of_no_other_agent(chase, target):
+    # a chase of an unknown id raised a bare KeyError in the first round,
+    # and an agent chasing itself "arrived" on round 1 without moving
+    grid = GridMap.empty(4, 4)
+    specs = [AgentSpec(1, (0, 0), [(3, 3)], chase=chase), AgentSpec(2, (3, 0), [(0, 3)])]
+    want = f"agent 1 chases agent {target}, which is not another agent of the run"
+    with pytest.raises(ValueError, match=re.escape(want)):
+        simulate(specs, grid, 10)
+
+
 def test_a_round_without_two_slices_left_stands_still():
     # step_world called at the last slice of the budget: one slice is left,
     # so no move fits, though the goal is next door
@@ -329,7 +358,8 @@ def test_sample_policy_agents_share_no_cell_and_all_arrive():
 
 def _rebuilding_plan_step(self, grid, snapshots, remaining, rng, arrived_vanish=False):
     """The runner's step as a reference: a fresh kernel of the dynamic map
-    and ``engine._max_chain``'s crops read whole-grid, every round."""
+    and the max-product chain on (cell, action) pairs, ``_until_start`` of
+    the unclipped ``_goal_sweep``, read whole-grid, every round."""
     spec = self.spec
     me = snapshots[spec.agent_id]
     try:
@@ -343,10 +373,10 @@ def _rebuilding_plan_step(self, grid, snapshots, remaining, rng, arrived_vanish=
     if goal[me.cell] > 0.0:
         return me.cell, STILL.index, None, True
     kernel = build_kernel(dyn, default_masks(spec.sharpness))
+    goal = engine._checked_goal(goal, kernel)
+    sweep = engine._goal_sweep(kernel, self.p_action, goal, engine._MAX)
     try:
-        crops = engine._max_chain(
-            kernel, self.p_action, me.cell, goal, max(remaining, 2), me.action
-        )
+        crops = engine._until_start(sweep, kernel, me.cell, me.action, max(remaining, 2))
         backward = [crop[engine._grow(None, kernel)] for crop in crops][::-1]
     except UnreachableError:
         return self._blocked(me)
