@@ -55,11 +55,10 @@ posteriors.  numpy releases the interpreter lock inside each pass, so the
 two overlap on two cores; each step is the serial one, so every array is
 bit-identical.
 
-Both ends are used where only reachability or one path matters.
-``min_time`` grows boolean support from the start and from the goal,
-always on the side with the smaller window, and stops where the two
-meet; with a free start action and no zero in ``p_action`` every action
-of a reached cell is reached, so it grows the support of cells alone.
+Where only reachability or one path matters, the start bounds the sweep
+from the goal: ``min_time`` grows boolean support (of cells alone if no
+entry of ``p_action`` is zero) up to the first slice that reaches the
+start (``_until_start``, as the runner's max-product chain does).
 The decoders' backward chain (``_tube``, max-product for the greedy one,
 sum-product normalized per slice for sampling) runs each slice only on
 the cells a path from the start can reach by then, the tube between the
@@ -116,6 +115,8 @@ class MessageTensor:
         values = np.asarray(values, dtype=float)
         if values.ndim != 3 or values.shape[2] != N_ACTIONS:
             raise ValueError(f"message values must be (rows, cols, 9): {values.shape}")
+        if values.size and not 0.0 <= values.min() <= values.max() < np.inf:
+            raise ValueError("message values must be finite and nonnegative")
         if values.flags.writeable or not values.flags.owndata:
             # a copy, so that freezing it leaves the caller's array writable
             # and a write through another view cannot change the message
@@ -628,7 +629,7 @@ def _max_chain(
     stencils of those cells alone (``log_stencils_on``): bit for bit the
     pairs sweep's.  Other matrices sweep the pairs.
     """
-    goal = _checked_start_goal(kernel, start_cell, goal, t_max)
+    goal, cells = _checked_start_goal(kernel, start_cell, goal, t_max)
     if goal[start_cell] > 0.0:
         return [], None
     p = np.asarray(p_action, dtype=float)
@@ -636,11 +637,10 @@ def _max_chain(
         sweep = _goal_sweep(kernel, p_action, goal, _MAX)
         crops = list(_until_start(sweep, kernel, start_cell, start_action, t_max))
         return crops, crops[-2] if len(crops) > 1 else None
-    box = _box_of(goal > 0.0)
+    box = cells.box
     seed = _Crop(box, _log(goal[box])[:, :, None], -np.inf)  # as ``_goal_sweep``'s
     mix = _max_mixer(p, cells=True)
     sweep = _sweep(kernel, seed, kernel.log_cell_stencils, True, _MAX, mix)
-    cells = _Crop(box, (goal[box] > 0.0)[:, :, None], False)
     crops = list(_until_start(sweep, kernel, start_cell, start_action, t_max, cells))
     if len(crops) < 2:
         return crops, None
@@ -667,70 +667,24 @@ def min_time(
     floats, so long horizons cannot underflow into false negatives.
     Raises UnreachableError when no horizon up to ``t_max`` works.
 
-    The search meets in the middle (Pohl's bidirectional search) in joint
-    (cell, action) space: forward support F_i grows from the start pairs,
-    backward support B_j from the goal, one move at a time on whichever
-    side has the smaller window, and a path of i + j moves exists exactly
-    when F_i and B_j share a pair.  Each side runs only on its window and
-    the meeting is tested on the intersection of the two.  The stopping
-    rules are those of a one-sided sweep of B from the goal
-    (``_until_start``): it raises at the first B_j equal to B_(j-1), a
-    fixed point that never touched the start, and after the last gather
-    ``t_max`` allows.
-
-    With a free start action and every entry of ``p_action`` positive,
-    the boolean mix after each pass is an ``any`` over actions, so both
-    sides propagate cells instead, M_j for B_j, one value per cell, on
-    ``TransitionKernel.cell_support`` and unmixed: a pass on the cells
-    gives exactly the mixed pass on the pairs, and an unpinned start meets
-    B_j where it meets M_j.  The (cell, action) ``support`` is not built.
-    ``_until_start`` keeps B's stopping rules (see there).
+    One boolean sweep from the goal, stopped by ``_until_start`` as
+    ``_max_chain``'s is: at the first slice that holds a start pair, after
+    j gathers, it returns j + 1.  With no zero in ``p_action`` it sweeps
+    cells, unmixed, on ``TransitionKernel.cell_support``, pinned start or
+    not; other matrices sweep pairs, mixed by the switches they allow.
     """
     p_action = _checked_actions(p_action)
-    goal = _checked_start_goal(kernel, start_cell, goal, t_max)
+    goal, seed = _checked_start_goal(kernel, start_cell, goal, t_max)
     if goal[start_cell] > 0.0:
         return 1
-    box = _box_of(goal > 0.0)
-    seed = _Crop(box, (goal[box] > 0.0)[:, :, None], False)
-    if start_action is None and (p_action > 0.0).all():
-        # the mix would reach every action of a cell: sweep the cells
-        stencils, mixes, cells = kernel.cell_support, (_unmixed,) * 2, seed
+    allowed = p_action > 0.0
+    if allowed.all():  # the mix would reach every action of a cell: sweep the cells
+        stencils, mix, cells = kernel.cell_support, _unmixed, seed
     else:
-        stencils, mixes, cells = kernel.support, _support_mixers(p_action), None
-    f = _start_pairs(kernel, start_cell, start_action)  # F_0
-    forward = _sweep(kernel, f, stencils, False, _SUM, mixes[0])
-    backward = _until_start(
-        _sweep(kernel, seed, stencils, True, _SUM, mixes[1]),
-        kernel, start_cell, start_action, t_max, cells,
-    )
-    b, moves = next(backward), 1
-    while not _meets(f, b):
-        if moves == t_max - 1:
-            # no path within t_max: B alone decides which error it is
-            for _ in backward:
-                pass
-        moves += 1
-        if forward is not None and _area(f.box) < _area(b.box):
-            previous, f = f, next(forward)
-            if _repeats(previous, f):
-                forward = None  # F repeats from here on
-        else:
-            b = next(backward)
-    return moves + 1
-
-
-def _support_mixers(p_action: np.ndarray) -> tuple[_Mix, _Mix]:
-    """The boolean action mix of a sweep on ``TransitionKernel.support``,
-    forward (a heading moved in, to the headings it may switch to) and
-    backward (a heading, to those that may switch to it).  Without a zero
-    entry in ``p_action`` every switch is allowed, an ``any`` over actions
-    kept as one plane; other matrices take a 9 x 9 product.  ``min_time``
-    uses it only with a pinned start action or a zero entry: otherwise it
-    sweeps ``cell_support``, which needs no mix."""
-    allowed = np.asarray(p_action) > 0.0
-    if allowed.all():
-        return (lambda v: v.any(axis=2, keepdims=True),) * 2  # both ways
-    return (lambda v: v @ allowed), (lambda v: v @ allowed.T)
+        stencils, mix, cells = kernel.support, lambda v: v @ allowed.T, None
+    sweep = _sweep(kernel, seed, stencils, True, _SUM, mix)
+    crops = _until_start(sweep, kernel, start_cell, start_action, t_max, cells)
+    return 1 + sum(1 for _ in crops)
 
 
 def _unmixed(values: np.ndarray) -> np.ndarray:
@@ -753,13 +707,14 @@ def _start_pairs(kernel: TransitionKernel, cell: Cell, action: int | None) -> _C
 
 def _checked_start_goal(
     kernel: TransitionKernel, start_cell: Cell, goal: np.ndarray, t_max: int
-) -> np.ndarray:
+) -> tuple[np.ndarray, _Crop]:
+    """The checked goal, and its cells as a support crop on their box."""
     goal = _checked_goal(goal, kernel)
-    if not kernel.grid.is_free(start_cell):
-        raise ValueError(f"start cell {start_cell} is not a free cell")
+    _checked_start(start_cell, None, kernel)
     if t_max < 2:
         raise ValueError("t_max must be at least 2")
-    return goal
+    box = _box_of(goal > 0.0)
+    return goal, _Crop(box, (goal[box] > 0.0)[:, :, None], False)
 
 
 @dataclass(eq=False, slots=True)
@@ -937,10 +892,8 @@ def _until_start(
         last = previous or cells
         if _repeats(previous, sup):
             if cells is None or _pairs_repeat(kernel, older or cells, previous, sup.box):
-                raise UnreachableError(
-                    f"backward support reached a fixed point without touching "
-                    f"{start_cell}"
-                )
+                raise UnreachableError(f"backward support reached a fixed point "
+                                       f"without touching {start_cell}")
             cells = None
         yield crop
         if _meets(start, last if pinned else sup):

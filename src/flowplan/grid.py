@@ -209,6 +209,15 @@ class TransitionKernel:
     grid: GridMap
     stencils: np.ndarray  # (rows, cols, N_ACTIONS, 3, 3) view, see above
 
+    def __post_init__(self):  # ``_unscanned`` skips this scan
+        stencils = np.asarray(self.stencils, dtype=float)
+        shape = (self.grid.rows, self.grid.cols, N_ACTIONS, 3, 3)
+        if stencils.shape != shape:
+            raise ValueError(f"stencils must have shape {shape}, got {stencils.shape}")
+        if not 0.0 <= stencils.min() <= stencils.max() < np.inf:  # nan fails both
+            raise ValueError("stencil entries must be finite and nonnegative")
+        object.__setattr__(self, "stencils", stencils)
+
     @cached_property
     def support(self) -> np.ndarray:
         """``stencils > 0``, computed once, in the same offset-major layout."""
@@ -219,8 +228,9 @@ class TransitionKernel:
         """Whether some action moves from the cell along the offset,
         ``support.any(axis=2, keepdims=True)`` of shape (rows, cols, 1, 3, 3),
         computed once, in the same offset-major layout, without ``support``.
-        ``engine.min_time`` sweeps it when every (cell, action) pair of a
-        cell is reached together."""
+        ``engine.min_time`` sweeps it when no entry of its ``p_action`` is
+        zero, so that every (cell, action) pair of a cell is reached
+        together, for a free start action and a pinned one alike."""
         return self._derived(_cell_support)
 
     @cached_property
@@ -371,9 +381,16 @@ class _PatternTable:
                     f"free cell ({i}, {j}) has no remaining transition mass "
                     f"for action '{ACTIONS[a].name}'"
                 )
-        kernel = TransitionKernel(grid, _gathered(self.stencils, index))
-        object.__setattr__(kernel, "_source", (self, index))
-        return kernel
+        return _unscanned(grid, _gathered(self.stencils, index), _source=(self, index))
+
+
+def _unscanned(grid: GridMap, stencils: np.ndarray, **private) -> TransitionKernel:
+    """``TransitionKernel(grid, stencils)``, with ``private`` attributes set,
+    without the scan of stencils taken from a checked kernel or from a
+    pattern table (``_stack_masks`` checked its masks)."""
+    kernel = object.__new__(TransitionKernel)
+    vars(kernel).update(grid=grid, stencils=stencils, **private)
+    return kernel
 
 
 def _gathered(table: np.ndarray, index: np.ndarray) -> np.ndarray:

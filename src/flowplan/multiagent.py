@@ -23,6 +23,7 @@ from .errors import InvalidGoalError, NoFeasiblePathError, UnreachableError
 from .grid import (
     Cell,
     GridMap,
+    N_ACTIONS,
     STILL,
     _PATTERNS,
     _PatternTable,
@@ -246,6 +247,31 @@ def _check_specs(specs: Sequence[AgentSpec], grid: GridMap) -> None:
                 )
 
 
+def _check_state(
+    state: WorldState, ids: list[int], grid: GridMap, order: Sequence[int], vanish: bool
+) -> None:
+    """Refuse a state without one snapshot per id of ``ids``, an agent off
+    the free cells of ``grid``, with a heading that is no action or on the
+    cell of one that stays on the map (``vanish`` takes the arrived off),
+    and an order that names another id."""
+    agents = [a.agent_id for a in state.agents]
+    for aid in ids:
+        if (n := agents.count(aid)) != 1:
+            raise ValueError(f"agent {aid} has {n} snapshots in the state, not one")
+    held = {}
+    for a in state.agents:  # one without a spec stands as an obstacle
+        _check_free(a.cell, grid, f"agent {a.agent_id} cell {a.cell}", ValueError)
+        if a.action is not None and a.action not in range(N_ACTIONS):
+            raise ValueError(f"agent {a.agent_id} heading {a.action} is not an action")
+        if vanish and a.arrived:
+            continue
+        if (other := held.setdefault(a.cell, a.agent_id)) != a.agent_id:
+            raise ValueError(f"agents {other} and {a.agent_id} share cell {a.cell}")
+    for aid in order:
+        if aid not in ids:
+            raise ValueError(f"the order names agent {aid}, which has no spec")
+
+
 def _runners(specs: Sequence[AgentSpec]) -> dict[int, _AgentRunner]:
     """One runner per agent; every neighbourhood pattern is censored once
     per sharpness, in a table shared by the runners of that sharpness."""
@@ -272,10 +298,12 @@ def step_world(
 
     Position updates apply immediately, so agents later in the order see
     the moves of earlier ones.  Without ``runners`` it checks ``specs`` as
-    ``simulate`` does, then builds them.
+    ``simulate`` does, and ``state`` and ``order`` against them, then
+    builds them.
     """
     if runners is None:
         _check_specs(specs, grid)
+        _check_state(state, [s.agent_id for s in specs], grid, order, arrived_vanish)
         runners = _runners(specs)
     snapshots = state.by_id()
     remaining = t_max - state.time + 1

@@ -33,6 +33,7 @@ from .grid import (
     STILL,
     TransitionKernel,
     _check_stiffness,
+    _unscanned,
     action_matrix,
     build_kernel,
     default_masks,
@@ -289,7 +290,7 @@ def _forward_move(
     total may round differently from a whole-grid step."""
     kernel = setup.kernel
     grid = GridMap.from_mask(kernel.grid.mask[cells])
-    box = TransitionKernel(grid, kernel.stencils[cells])
+    box = _unscanned(grid, kernel.stencils[cells])  # a crop of checked stencils
     local = (cell[0] - cells[0].start, cell[1] - cells[1].start)
     pi = None if action is None else np.eye(N_ACTIONS)[action]
     f = engine.initial_forward(box, local, pi)

@@ -184,6 +184,16 @@ def test_messages_refuse_values_not_shaped_rows_cols_nine(shape):
         MessageTensor(np.ones(shape), FORWARD)
 
 
+@pytest.mark.parametrize("value", [np.nan, -1.0, np.inf, -np.inf])
+def test_messages_refuse_values_not_finite_and_nonnegative(value, empty5):
+    # nan gave a live message whose step was nan, -1 a step of mass -81,
+    # and inf a numpy RuntimeWarning
+    values = np.full((5, 5, N_ACTIONS), 1.0)
+    values[2, 3, 4] = value
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        MessageTensor(values, FORWARD)
+
+
 def test_backward_step_keeps_free_support_positive(empty5):
     grid, kernel, p = empty5
     uniform = np.full((5, 5, N_ACTIONS), 1.0)
@@ -342,7 +352,9 @@ def test_windowed_passes_equal_the_whole_grid_pass(shape, sharpness, seed, data)
     # every crop of a sweep, expanded with its fill, is the whole-grid pass
     kind = data.draw(st.sampled_from(["0", "0.5", "1", "general"]))
     p_sweep = _p_action(kind, np.random.default_rng([seed, 1]))
-    mix_forward, mix_backward = engine._support_mixers(p_sweep)
+    # the boolean mixes: a heading to those it may switch to, and back
+    allowed = p_sweep > 0.0
+    mix_forward, mix_backward = (lambda v: v @ allowed), (lambda v: v @ allowed.T)
     # the max-product mix takes action_matrix's form only
     p_max = action_matrix(0.5) if kind == "general" else p_sweep
     cells = x.any(axis=2, keepdims=True)
@@ -575,9 +587,9 @@ def test_min_time_on_cells_keeps_the_pairs_message(lines, start, goal_cell, t_ma
 
 
 def test_unpinned_min_time_sweeps_only_the_cell_plane(monkeypatch):
-    # a structural guard: with a free start action and no zero entry in
-    # p_action, every pass of min_time carries one value per cell and the
-    # (cell, action) support is never built
+    # a structural guard: with no zero entry in p_action every pass of
+    # min_time carries one value per cell, for a free start action and a
+    # pinned one alike, and the (cell, action) support is never built
     depths = []
     shift = engine._shift
 
@@ -596,12 +608,17 @@ def test_unpinned_min_time_sweeps_only_the_cell_plane(monkeypatch):
         assert min_time(kernel, p, start, goal, 1000) == d + 1
         with pytest.raises(UnreachableError, match="within horizon"):
             min_time(kernel, p, start, goal, d)
+        for action in range(N_ACTIONS):
+            assert min_time(kernel, p, start, goal, 1000, start_action=action) >= d + 1
         assert "support" not in vars(kernel)
     assert depths and set(depths) == {(1, 1)}
-    # a pinned start action sweeps the pairs
+    # stiffness 1 has zero entries in p_action: it sweeps the pairs
     depths.clear()
-    assert min_time(kernel, p, start, goal, 1000, start_action=0) >= d + 1
-    assert (N_ACTIONS, N_ACTIONS) in depths and "support" in vars(kernel)
+    p = action_matrix(1.0)
+    assert min_time(kernel, p, start, goal, 1000) == d + 1
+    assert min_time(kernel, p, start, goal, 1000, start_action=7) == d + 1
+    assert (N_ACTIONS, N_ACTIONS) in depths and (1, 1) not in depths
+    assert "support" in vars(kernel)
 
 
 @pytest.mark.parametrize("t_max", [2, 3, 4, 5, 8, 1000])
@@ -618,23 +635,25 @@ def test_min_time_past_its_cap_names_the_fixed_point_of_the_goal_side(t_max):
         min_time(kernel, p, (0, 0), goal, t_max)
 
 
-def test_min_time_meets_in_the_middle(monkeypatch):
+def test_min_time_sweeps_the_windows_of_the_max_chain(monkeypatch):
+    # one sweep from the goal, pass j on the goal's box grown j times, the
+    # windows of the runner's chain, which then gathers slice 2's pairs
     shapes = recorded_windows(monkeypatch)
     grid = GridMap.empty(60, 60)
     kernel, p = build_kernel(grid), action_matrix(0.0)
     goal = goal_marginal([(59, 59)], grid)
     assert min_time(kernel, p, (0, 0), goal, 1000) == 60
-    assert shapes and max(max(shape) for shape in shapes) <= 32
-    # from one side alone the sweep reaches the far corner
+    swept = shapes[:]
+    assert swept == [(k, k) for k in range(2, 61)]
     shapes.clear()
     assert len(max_chain(kernel, p, (0, 0), goal, 1000)) + 1 == 60
-    assert (60, 60) in shapes
+    assert shapes == swept + [(3, 3)]
 
 
 def test_min_time_stops_the_side_of_a_walled_in_start(monkeypatch):
-    # F repeats after one move; B sweeps the map to its fixed point, about
-    # 40 passes, where a forward side that kept going would spin to the
-    # 40 * 40 * 9 move cap
+    # the goal's side sweeps the map to its fixed point, about 40 passes,
+    # and stops there without touching the walled-in start, well short of
+    # the 40 * 40 * 9 move cap
     shapes = recorded_windows(monkeypatch)
     walls = [(20 + i, 20 + j) for i in (-1, 0, 1) for j in (-1, 0, 1) if i or j]
     grid = GridMap.empty(40, 40).with_obstacles(walls)
@@ -642,7 +661,7 @@ def test_min_time_stops_the_side_of_a_walled_in_start(monkeypatch):
     goal = goal_marginal([(20, 0)], grid)
     with pytest.raises(UnreachableError, match="fixed point"):
         min_time(kernel, p, (20, 20), goal, 10**9)
-    assert 0 < len(shapes) <= 45  # the search makes 42
+    assert 0 < len(shapes) <= 45  # the sweep makes 43
 
 
 @pytest.mark.parametrize("stiffness", [0.0, 1.0])
@@ -1318,6 +1337,45 @@ def test_min_time_matches_bfs(rng):
         kernel = build_kernel(grid)
         goal = goal_marginal([goal_cell], grid)
         assert min_time(kernel, action_matrix(0.0), start, goal, 300) == d + 1
+
+
+@pytest.mark.parametrize("rows, cols", [(20, 20), (24, 100), (50, 50), (100, 30),
+                                        (100, 100), (64, 80)])
+def test_pinned_min_time_is_two_plus_the_nearest_first_move(rows, cols):
+    # under default masks and a positive p_action the pinned heading makes
+    # the first move, to a cell its stencil reaches, and any heading may
+    # follow: a judge by BFS at sizes the dense oracle cannot reach
+    rng = np.random.default_rng([rows, cols])
+    mask = random_map(rng, rows, cols, float(rng.uniform(0.1, 0.35))).mask.copy()
+    pocket = (rows // 2, cols // 2)  # a free cell walled in: no move leaves it
+    mask[rows // 2 - 1:rows // 2 + 2, cols // 2 - 1:cols // 2 + 2] = 1
+    mask[pocket] = 0
+    grid = GridMap.from_mask(mask)
+    free = [c for c in free_cells(grid) if c != pocket]
+    kernel = build_kernel(grid, default_masks(float(rng.uniform(0.05, 0.95))))
+    p = action_matrix(float(rng.choice([0.0, 0.5, 0.9])))
+    goals = [free[k] for k in rng.integers(len(free), size=int(rng.integers(1, 3)))]
+    goal = goal_marginal(goals, grid)
+    distance = {}
+    starts = [pocket] + [c for c in (free[k] for k in rng.integers(len(free), size=6))
+                         if c not in goals][:3]
+    for start in starts:
+        i, j = start
+        for action in range(N_ACTIONS):
+            moves = np.argwhere(kernel.stencils[i, j, action] > 0.0) + (i - 1, j - 1)
+            reach = []
+            for cell in map(tuple, moves.tolist()):
+                if cell not in distance:
+                    distance[cell] = bfs_distance(grid, cell, goals)
+                if distance[cell] is not None:
+                    reach.append(distance[cell])
+            if not reach:
+                with pytest.raises(UnreachableError):
+                    min_time(kernel, p, start, goal, 10**6, start_action=action)
+                continue
+            assert min_time(kernel, p, start, goal, 10**6, start_action=action) == (
+                2 + min(reach)
+            )
 
 
 def test_min_time_with_pinned_still_action_needs_one_extra_slice():

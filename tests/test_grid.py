@@ -344,6 +344,33 @@ def test_hand_built_kernel_takes_the_log_of_its_stencils():
     _assert_same_kernel(TransitionKernel(grid, stencils), stencils, _log(stencils))
 
 
+@pytest.mark.parametrize("rows, stencils, why", [
+    (4, np.full((4, 4, N_ACTIONS, 3, 3), np.nan), "finite and nonnegative"),
+    (4, -np.full((4, 4, N_ACTIONS, 3, 3), 1 / 9), "finite and nonnegative"),
+    (4, np.full((4, 4, N_ACTIONS, 3, 3), np.inf), "finite and nonnegative"),
+    (4, np.ones((4, 4, N_ACTIONS)), "got (4, 4, 9)"),
+    (3, np.full((4, 4, N_ACTIONS, 3, 3), 1 / 9), "got (4, 4, 9, 3, 3)"),
+])
+def test_hand_built_kernels_refuse_malformed_stencils(rows, stencils, why):
+    # nan stencils gave a final posterior summing to nan and negative ones
+    # a FlowSet; the wrong shapes failed later, inside numpy or the goal check
+    with pytest.raises(ValueError, match=re.escape(why)):
+        TransitionKernel(GridMap.empty(rows, rows), stencils)
+
+
+def test_table_kernels_skip_the_scan_of_their_stencils(monkeypatch):
+    # the table's masks were checked once: a gathered kernel is not scanned
+    def scan(self):
+        raise AssertionError("a table kernel scanned its stencils")
+
+    monkeypatch.setattr(TransitionKernel, "__post_init__", scan)
+    grid = GridMap.empty(5, 6).with_obstacles([(2, 2)])
+    kernel = build_kernel(grid)
+    assert kernel.grid is grid and kernel.stencils.shape == (5, 6, N_ACTIONS, 3, 3)
+    with pytest.raises(AssertionError, match="scanned"):
+        TransitionKernel(grid, kernel.stencils)
+
+
 @st.composite
 def _rounds(draw):
     """One agent-round on a small map: agents on its free cells, the one

@@ -262,6 +262,42 @@ def test_step_world_refuses_the_specs_simulate_refuses(goals, why):
         multiagent.step_world(grid, state, chaser, 10, [1], rng)
 
 
+@pytest.mark.parametrize("agents, order, why", [
+    ([(1, (9, 9), None), (2, (3, 3), None)], [1, 2], "agent 1 cell (9, 9) is off the 4x4 grid"),
+    ([(1, (0, 0), None), (2, (1, 1), None)], [1, 2], "agent 2 cell (1, 1) is on an obstacle"),
+    ([(1, (0, 0), None)], [1], "agent 2 has 0 snapshots in the state"),
+    ([(2, (3, 3), None), (1, (0, 0), None), (2, (3, 2), 5)], [1], "agent 2 has 2 snapshots"),
+    ([(1, (0, 0), 12), (2, (3, 3), None)], [1, 2], "agent 1 heading 12 is not an action"),
+    ([(1, (0, 0), None), (2, (3, 3), None)], [1, 2, 7], "names agent 7, which has no spec"),
+    ([(1, (0, 0), None), (2, (0, 0), None)], [1, 2], "agents 1 and 2 share cell (0, 0)"),
+])
+def test_step_world_refuses_a_state_that_does_not_match_its_specs(agents, order, why):
+    # these raised a bare IndexError or KeyError in the round, and two
+    # agents on one cell read "start cell (0, 0) is not a free cell"
+    grid = GridMap.empty(4, 4).with_obstacles([(1, 1)])
+    specs = [AgentSpec(1, (0, 0), [(0, 3)]), AgentSpec(2, (3, 3), [(3, 0)])]
+    state = multiagent.WorldState(
+        1, tuple(AgentSnapshot(aid, cell, heading, False) for aid, cell, heading in agents)
+    )
+    with pytest.raises(ValueError, match=re.escape(why)):
+        multiagent.step_world(grid, state, specs, 10, order, np.random.default_rng(0))
+
+
+def test_step_world_lets_a_moving_agent_share_a_vanished_agents_cell():
+    # with arrived_vanish an arrived agent leaves the map, so another may
+    # step onto its cell
+    grid = GridMap.empty(4, 4)
+    specs = [AgentSpec(1, (0, 0), [(0, 3)]), AgentSpec(2, (3, 3), [(0, 0)])]
+    state = multiagent.WorldState(
+        1, (AgentSnapshot(1, (0, 0), None, False), AgentSnapshot(2, (0, 0), None, True))
+    )
+    rng = np.random.default_rng(0)
+    after = multiagent.step_world(grid, state, specs, 10, [1, 2], rng, arrived_vanish=True)
+    assert after.by_id()[1].cell != (0, 0) and after.by_id()[2].cell == (0, 0)
+    with pytest.raises(ValueError, match="agents 1 and 2 share cell"):
+        multiagent.step_world(grid, state, specs, 10, [1, 2], rng)
+
+
 @pytest.mark.parametrize("chase, target", [((7,), 7), ((2, 1), 1)])
 def test_simulate_refuses_a_chase_of_no_other_agent(chase, target):
     # a chase of an unknown id raised a bare KeyError in the first round,
